@@ -110,13 +110,16 @@ class ObexFrame:
 # -- codec -------------------------------------------------------------------
 
 
+def _ascii_name(text: str) -> bytes:
+    try:
+        return text.encode("ascii")
+    except UnicodeEncodeError:
+        raise ProtocolError(f"name is not ASCII: {text!r}") from None
+
+
 def _encode_header(header: ObexHeader) -> bytes:
     if isinstance(header, Name):
-        try:
-            raw = header.text.encode("ascii")
-        except UnicodeEncodeError:
-            raise ProtocolError(f"name is not ASCII: {header.text!r}") from None
-        hid = HDR_NAME
+        raw, hid = _ascii_name(header.text), HDR_NAME
     elif isinstance(header, Body):
         raw, hid = header.data, HDR_BODY
     elif isinstance(header, EndOfBody):
@@ -218,7 +221,7 @@ def decode_frame(data: bytes) -> tuple[ObexFrame, bytes]:
 def first_frame_capacity(name: str, max_packet: int) -> int:
     """Payload bytes that fit in the sequence-opening frame."""
     overhead = (FRAME_PREFIX
-                + VALUE_HEADER_PREFIX + len(name.encode("ascii"))
+                + VALUE_HEADER_PREFIX + len(_ascii_name(name))
                 + U32_HEADER_SIZE
                 + VALUE_HEADER_PREFIX)
     return max_packet - overhead
@@ -229,24 +232,40 @@ def continuation_capacity(max_packet: int) -> int:
     return max_packet - FRAME_PREFIX - VALUE_HEADER_PREFIX
 
 
-def put_frames(name: str, payload: bytes, max_packet: int) -> list[ObexFrame]:
-    """Split a named payload into the PUT frame sequence for ``max_packet``."""
+def _capacities(name: str, max_packet: int) -> tuple[int, int]:
+    """(first, continuation) frame capacities, checked for a usable sequence."""
     if not name:
         raise ValueError("file name must be non-empty")
     first_cap = first_frame_capacity(name, max_packet)
     cont_cap = continuation_capacity(max_packet)
     if first_cap < 0 or cont_cap < 1:
         raise ProtocolError("name too long for negotiated packet size")
+    return first_cap, cont_cap
+
+
+def _opening_frame(name: str, payload: bytes, first_cap: int) -> ObexFrame:
+    """Frame 0 of the PUT sequence: Name + Length + the first chunk."""
     if len(payload) <= first_cap:
-        return [ObexFrame(PUT_FINAL,
-                          (Name(name), Length(len(payload)), EndOfBody(payload)))]
-    frames = [ObexFrame(PUT, (Name(name), Length(len(payload)),
-                              Body(payload[:first_cap])))]
-    rest = payload[first_cap:]
-    while len(rest) > cont_cap:
-        frames.append(ObexFrame(PUT, (Body(rest[:cont_cap]),)))
-        rest = rest[cont_cap:]
-    frames.append(ObexFrame(PUT_FINAL, (EndOfBody(rest),)))
+        return ObexFrame(PUT_FINAL,
+                         (Name(name), Length(len(payload)), EndOfBody(payload)))
+    return ObexFrame(PUT, (Name(name), Length(len(payload)),
+                           Body(payload[:first_cap])))
+
+
+def put_frames(name: str, payload: bytes, max_packet: int) -> list[ObexFrame]:
+    """Split a named payload into the PUT frame sequence for ``max_packet``.
+
+    Linear in ``len(payload)``: every chunk is sliced once at its own
+    offset, so the bytes copied add up to the payload size.
+    """
+    first_cap, cont_cap = _capacities(name, max_packet)
+    frames = [_opening_frame(name, payload, first_cap)]
+    if frames[0].opcode == PUT_FINAL:
+        return frames
+    starts = range(first_cap, len(payload), cont_cap)
+    frames += [ObexFrame(PUT, (Body(payload[at:at + cont_cap]),))
+               for at in starts[:-1]]
+    frames.append(ObexFrame(PUT_FINAL, (EndOfBody(payload[starts[-1]:]),)))
     return frames
 
 
@@ -419,10 +438,10 @@ class PushSession:
 
         if device.refuse_push:
             # Refusal comes back on the first frame: only the session
-            # overhead is spent.
+            # overhead is spent, and only that frame is built.
             world.advance(started + self.params.session_overhead)
-            first = put_frames(name, payload, self.negotiated or self.max_packet)[0]
-            resp = self._exchange(first)
+            first_cap, _ = _capacities(name, self.negotiated or self.max_packet)
+            resp = self._exchange(_opening_frame(name, payload, first_cap))
             assert resp.opcode == FORBIDDEN
             self.state = "failed"
             world.emit("transfer_failed", mac=slave, file=name, reason="refused")

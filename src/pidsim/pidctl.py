@@ -288,11 +288,12 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
                           if m in state.pending and m not in queried)
         if to_query:
             catalog = search_services(world, local, to_query, params)
-            queried |= set(to_query) - set(catalog.departed)
+            departed = set(catalog.departed)
+            answered = catalog.queried() - departed
+            queried |= set(to_query) - departed
             ftp_map.update(filter_ftp(catalog))
             for mac in to_query:
-                if mac in catalog.queried() and mac not in catalog.departed \
-                        and mac not in ftp_map:
+                if mac in answered and mac not in ftp_map:
                     state.mark_skipped(mac, NO_FTP_SERVICE)
                     world.emit("member_skipped", mac=mac, reason=NO_FTP_SERVICE)
 

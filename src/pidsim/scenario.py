@@ -12,8 +12,9 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import ScenarioError
+from .errors import ProtocolError, ScenarioError
 from .metrics import CourseUsage
+from .obexlite import DEFAULT_MAX_PACKET, first_frame_capacity
 from .pidctl import Roster
 from .sdp import ConnectionUrl, ServiceRecord
 from .simnet import MacId, RadioDevice, RadioParams, SimTime, SimWorld
@@ -319,6 +320,14 @@ def _parse_file(obj: dict) -> tuple[str, bytes | None, str | None]:
     name = _expect(obj, "name", str, where, default=default_name)
     if not name:
         raise ScenarioError(f"{where}.name: must be non-empty")
+    # Scenarios cannot set max_packet, so every push uses the default size.
+    try:
+        fits = first_frame_capacity(name, DEFAULT_MAX_PACKET) >= 0
+    except ProtocolError as exc:
+        raise ScenarioError(f"{where}.name: {exc}") from None
+    if not fits:
+        raise ScenarioError(f"{where}.name: too long for a "
+                            f"{DEFAULT_MAX_PACKET}-byte packet")
     return name, payload, path
 
 

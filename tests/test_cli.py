@@ -125,6 +125,33 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
     assert "bogus" in err
 
 
+def _live_test_with_file_name(tmp_path, name):
+    data = json.loads(open(shipped_fixture_path("live_test")).read())
+    data["file"]["name"] = name
+    path = tmp_path / "named.scn"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_validate_rejects_file_names_run_cannot_push(capsys, tmp_path):
+    for name in ("h\u00e9.txt", "x" * 1100):
+        path = _live_test_with_file_name(tmp_path, name)
+        code, _, err = run_cli(capsys, "validate", path)
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: scenario.file.name: ")
+        assert "Traceback" not in err
+
+
+def test_longest_valid_file_name_validates_and_runs(capsys, tmp_path):
+    path = _live_test_with_file_name(tmp_path, "x" * 1010)
+    code, _, err = run_cli(capsys, "validate", path)
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 0, err
+    assert "delivered=7" in out
+
+
 def test_run_missing_scenario_errors(capsys):
     code, _, err = run_cli(capsys, "run", "no_such_fixture")
     assert code == 1

@@ -1,0 +1,43 @@
+"""Frozen golden corpus: each shipped fixture at seeds 0, 1 and 42 replays to
+its recorded ``log.txt`` and ``report.txt`` bytes.
+
+A change that alters these bytes is a behaviour change.  After an intended
+one, rewrite the corpus with ``PYTHONPATH=src python -m tests.test_golden``
+and say why in CHANGES.md.
+"""
+
+import os
+
+import pytest
+
+from pidsim.cli import execute_scenario
+from pidsim.scenario import shipped_fixture_names, shipped_fixture_path
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+SEEDS = (0, 1, 42)
+
+
+def _render(fixture: str, seed: int) -> dict[str, bytes]:
+    run = execute_scenario(shipped_fixture_path(fixture), seed)
+    return {"log": run.log_text().encode("utf-8"),
+            "report": run.report_text().encode("utf-8")}
+
+
+def _golden_path(fixture: str, seed: int, kind: str) -> str:
+    return os.path.join(DATA, f"{fixture}_seed{seed}.{kind}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("fixture", shipped_fixture_names())
+def test_fixture_replays_to_frozen_bytes(fixture, seed):
+    for kind, data in _render(fixture, seed).items():
+        with open(_golden_path(fixture, seed, kind), "rb") as fh:
+            assert data == fh.read(), f"{fixture} seed {seed}: {kind} differs"
+
+
+if __name__ == "__main__":
+    for name in shipped_fixture_names():
+        for seed in SEEDS:
+            for kind, data in _render(name, seed).items():
+                with open(_golden_path(name, seed, kind), "wb") as fh:
+                    fh.write(data)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pidsim import obexlite
 from pidsim.errors import PoweredOffError, ProtocolError
 from pidsim.obexlite import (
     BAD_REQUEST,
@@ -279,6 +280,77 @@ def test_name_too_long_for_packet():
         put_frames("x" * 100, b"", 64)
 
 
+def test_non_ascii_name_capacity_is_a_protocol_error():
+    with pytest.raises(ProtocolError, match="name is not ASCII"):
+        first_frame_capacity("h\u00e9.txt", 1024)
+    with pytest.raises(ProtocolError, match="name is not ASCII"):
+        put_frames("h\u00e9.txt", b"x", 1024)
+
+
+class SliceCounter(bytes):
+    """A payload that adds up the length of every slice it hands out.
+
+    Slices are counters sharing the same tally, so a chunker that re-slices
+    the remainder of a slice is charged for every copy it makes.
+    """
+
+    def __new__(cls, data: bytes, tally: list[int] | None = None):
+        obj = super().__new__(cls, data)
+        obj.tally = tally if tally is not None else [0]
+        return obj
+
+    def __getitem__(self, key):
+        piece = super().__getitem__(key)
+        if not isinstance(key, slice):
+            return piece
+        self.tally[0] += len(piece)
+        return SliceCounter(piece, self.tally)
+
+
+def _resliced_put_frames(name, payload, max_packet):
+    """The former chunker, which re-sliced the remainder after every chunk."""
+    first_cap = first_frame_capacity(name, max_packet)
+    cont_cap = continuation_capacity(max_packet)
+    if len(payload) <= first_cap:
+        return [ObexFrame(PUT_FINAL,
+                          (Name(name), Length(len(payload)), EndOfBody(payload)))]
+    frames_out = [ObexFrame(PUT, (Name(name), Length(len(payload)),
+                                  Body(payload[:first_cap])))]
+    rest = payload[first_cap:]
+    while len(rest) > cont_cap:
+        frames_out.append(ObexFrame(PUT, (Body(rest[:cont_cap]),)))
+        rest = rest[cont_cap:]
+    frames_out.append(ObexFrame(PUT_FINAL, (EndOfBody(rest),)))
+    return frames_out
+
+
+def test_put_frames_identical_to_reslicing_chunker():
+    rng = random.Random(3)
+    for max_packet in (64, 96, 1024):
+        payload = rng.randbytes(3 * max_packet)
+        for size in range(0, len(payload) + 1):
+            assert put_frames("a.bin", payload[:size], max_packet) \
+                == _resliced_put_frames("a.bin", payload[:size], max_packet)
+
+
+def test_put_frames_slices_each_payload_byte_once():
+    payload = SliceCounter(bytes(8 << 20))
+    frames_out = put_frames("big.bin", payload, 1024)
+    assert len(frames_out) == expected_frame_count("big.bin", len(payload), 1024)
+    assert payload.tally[0] <= len(payload)
+
+
+def test_multi_megabyte_chunks_join_to_payload():
+    payload = random.Random(8).randbytes(3 << 20)
+    frames_out = put_frames("big.bin", payload, 1024)
+    assert len(frames_out) == expected_frame_count("big.bin", len(payload), 1024)
+    assert [f.opcode for f in frames_out] \
+        == [PUT] * (len(frames_out) - 1) + [PUT_FINAL]
+    chunks = [h.data for f in frames_out for h in f.headers
+              if isinstance(h, (Body, EndOfBody))]
+    assert b"".join(chunks) == payload
+
+
 # -- server behavior -----------------------------------------------------------
 
 
@@ -413,6 +485,25 @@ def test_push_file_refused_no_inbox_entry():
     assert w.device(mac(1)).inbox == {}
     # refusal comes back on the first frame: only session overhead elapsed
     assert outcome.duration == w.params.session_overhead
+
+
+def test_refused_push_builds_and_encodes_only_the_opening_frame(monkeypatch):
+    w, link = _linked_world(refuse_push=True)
+    session = PushSession(w, link)
+    session.connect()
+    encoded = []
+
+    def recording_encode(frame, _encode=obexlite.encode_frame):
+        encoded.append(frame)
+        return _encode(frame)
+
+    monkeypatch.setattr(obexlite, "encode_frame", recording_encode)
+    payload = SliceCounter(bytes(64 << 10))
+    assert expected_frame_count("cpi.txt", len(payload), 1024) > 1
+    outcome = session.push_file("cpi.txt", payload)
+    assert outcome.status == "refused" and outcome.frames_sent == 1
+    assert [f.opcode for f in encoded] == [PUT]
+    assert payload.tally[0] == first_frame_capacity("cpi.txt", 1024)
 
 
 def test_push_file_link_lost_when_target_departs_mid_transfer():

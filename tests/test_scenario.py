@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pidsim.errors import ScenarioError
+from pidsim.obexlite import DEFAULT_MAX_PACKET, first_frame_capacity
 from pidsim.scenario import (
     load_scenario,
     parse_scenario,
@@ -124,6 +125,22 @@ def test_parse_rejects_bad_window():
 def test_parse_rejects_conflicting_file_sources():
     with pytest.raises(ScenarioError, match="exactly one"):
         parse_scenario(_minimal(file={"name": "a", "text": "x", "hex": "00"}))
+
+
+def test_parse_rejects_non_ascii_file_name():
+    with pytest.raises(ScenarioError, match=r"scenario\.file\.name: name is not ASCII"):
+        parse_scenario(_minimal(file={"name": "h\u00e9.txt", "text": "x"}))
+    with pytest.raises(ScenarioError, match=r"scenario\.file\.name: name is not ASCII"):
+        parse_scenario(_minimal(file={"path": "docs/h\u00e9.txt"}))
+
+
+def test_parse_rejects_file_name_too_long_for_packet():
+    longest = "x" * first_frame_capacity("", DEFAULT_MAX_PACKET)
+    assert parse_scenario(_minimal(file={"name": longest, "text": "x"})) \
+        .file_name == longest
+    for name in (longest + "x", "x" * 1100):
+        with pytest.raises(ScenarioError, match=r"scenario\.file\.name: too long"):
+            parse_scenario(_minimal(file={"name": name, "text": "x"}))
 
 
 def test_parse_rejects_invalid_mac_string():
