@@ -57,7 +57,6 @@ from .sdp import (
     ServiceCatalog,
     ServiceRecord,
     filter_ftp,
-    parse_mac_from_url,
     parse_url,
     search_services,
 )
@@ -70,7 +69,6 @@ from .simnet import (
     RadioParams,
     SimTime,
     SimWorld,
-    advance,
     in_range,
     start_inquiry,
     transfer_duration,

@@ -133,7 +133,7 @@ def execute_scenario(path: str, seed_flag: int | None = None,
         config = StepConfig(local=scenario.local,
                             file_name=scenario.file_name,
                             payload=scenario.file_payload,
-                            file_path=_step_config_path(scenario),
+                            file_path=scenario.file_path,
                             target=scenario.step_target,
                             interactive=interactive,
                             print_fn=print if interactive else None)
@@ -156,16 +156,6 @@ def execute_scenario(path: str, seed_flag: int | None = None,
         savings = savings_report(report, scenario.usage)
         lines.extend(savings.render_lines())
     return RunArtifacts(lines, world, report, savings)
-
-
-def _step_config_path(scenario: Scenario) -> str | None:
-    # Path resolution is left to the stepped controller so a bad path is
-    # reported cleanly at step 8 instead of failing the load.
-    if scenario.file_path is None:
-        return None
-    if os.path.isabs(scenario.file_path):
-        return scenario.file_path
-    return os.path.join(scenario.base_dir, scenario.file_path)
 
 
 def _run_one(path: str, seed_flag: int | None, report_dir: str | None,
@@ -264,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_metrics(args)
-    except (SimError, ValueError, ZeroDivisionError) as exc:
+    except (SimError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

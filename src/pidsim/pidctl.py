@@ -246,7 +246,6 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
 
     state = SessionState(members=roster.members, pending=set(roster.members))
     ftp_map: dict[MacId, ServiceRecord] = {}
-    queried: set[MacId] = set()
     non_members: dict[MacId, SimTime] = {}
     iterations: list[IterationStats] = []
 
@@ -284,13 +283,10 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
                 state.mark_skipped(mac, LATE)
                 world.emit("member_skipped", mac=mac, reason=LATE)
 
-        to_query = sorted(m for m in newly
-                          if m in state.pending and m not in queried)
+        to_query = sorted(m for m in newly if m in state.pending)
         if to_query:
             catalog = search_services(world, local, to_query, params)
-            departed = set(catalog.departed)
-            answered = catalog.queried() - departed
-            queried |= set(to_query) - departed
+            answered = set(catalog.services) | set(catalog.empty)
             ftp_map.update(filter_ftp(catalog))
             for mac in to_query:
                 if mac in answered and mac not in ftp_map:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ProtocolError, ScenarioError
 from .metrics import CourseUsage
 from .obexlite import DEFAULT_MAX_PACKET, first_frame_capacity
-from .pidctl import Roster
+from .pidctl import DEFAULT_INQUIRY_INTERVAL, Roster, StepConfig
 from .sdp import ConnectionUrl, ServiceRecord
 from .simnet import MacId, RadioDevice, RadioParams, SimTime, SimWorld
 
@@ -26,14 +26,18 @@ _SCENARIO_KEYS = {
     "devices", "roster", "file", "inquiry_interval", "step_target", "usage",
     "notes",
 }
-_RADIO_KEYS = {"range_m", "inquiry_duration", "service_search_per_device",
-               "link_rate_bps", "session_overhead"}
-_DEVICE_KEYS = {"mac", "name", "position", "powered", "discoverable",
-                "arrival", "departure", "refuse_push", "drop_transfers",
-                "services", "notes"}
+# Optional fields of a block, with their JSON types.  A field the scenario
+# leaves out (or sets to null) is not passed on, so the dataclass default holds.
+_RADIO_TYPES = {"range_m": (int, float), "inquiry_duration": int,
+                "service_search_per_device": int, "link_rate_bps": int,
+                "session_overhead": int}
+_DEVICE_TYPES = {"powered": bool, "discoverable": bool, "arrival": int,
+                 "departure": int, "refuse_push": bool, "drop_transfers": int}
+_ROSTER_TYPES = {"window_before": int, "window_after": int, "late_cutoff": int,
+                 "max_retries": int}
+_DEVICE_KEYS = {"mac", "name", "position", "services", "notes", *_DEVICE_TYPES}
 _SERVICE_KEYS = {"id", "name", "channel", "path", "scheme", "notes"}
-_ROSTER_KEYS = {"course_id", "members", "course_start", "window_before",
-                "window_after", "late_cutoff", "max_retries", "notes"}
+_ROSTER_KEYS = {"course_id", "members", "course_start", "notes", *_ROSTER_TYPES}
 _FILE_KEYS = {"name", "text", "hex", "path", "notes"}
 _USAGE_KEYS = {"students", "pages_per_week", "weeks", "notes"}
 
@@ -41,8 +45,8 @@ _USAGE_KEYS = {"students", "pages_per_week", "weeks", "notes"}
 _REQUIRED = object()
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _check_keys(obj: dict, allowed, where: str) -> None:
+    unknown = sorted(set(obj).difference(allowed))
     if unknown:
         raise ScenarioError(f"{where}: unknown field(s): {', '.join(unknown)}")
 
@@ -54,77 +58,64 @@ def _expect(obj: dict, key: str, types, where: str, default=_REQUIRED):
         return default
     value = obj[key]
     type_tuple = types if isinstance(types, tuple) else (types,)
-    if isinstance(value, bool) and bool not in type_tuple:
-        raise ScenarioError(f"{where}.{key}: expected {types}, got a boolean")
-    if not isinstance(value, types):
-        raise ScenarioError(
-            f"{where}.{key}: expected {getattr(types, '__name__', types)}, "
-            f"got {type(value).__name__}")
+    is_bool = isinstance(value, bool)
+    if is_bool and bool not in type_tuple or not isinstance(value, types):
+        expected = " or ".join(t.__name__ for t in type_tuple)
+        got = "a boolean" if is_bool else type(value).__name__
+        raise ScenarioError(f"{where}.{key}: expected {expected}, got {got}")
     return value
 
 
-@dataclass
-class DeviceSpec:
-    mac: MacId
-    name: str
-    position: tuple[float, float]
-    powered: bool = True
-    discoverable: bool = True
-    arrival: SimTime = 0
-    departure: SimTime | None = None
-    refuse_push: bool = False
-    drop_transfers: int = 0
-    services: list[ServiceRecord] = field(default_factory=list)
-
-    def build(self) -> RadioDevice:
-        return RadioDevice(
-            mac=self.mac, friendly_name=self.name, position=self.position,
-            powered=self.powered, discoverable=self.discoverable,
-            services=list(self.services), arrival=self.arrival,
-            departure=self.departure, refuse_push=self.refuse_push,
-            drop_transfers=self.drop_transfers)
+def _given(obj: dict, types: dict, where: str) -> dict:
+    """The optional fields ``obj`` sets to a non-null value, type-checked."""
+    return {key: _expect(obj, key, t, where)
+            for key, t in types.items() if obj.get(key) is not None}
 
 
 @dataclass
 class Scenario:
+    """A parsed scenario.  ``devices`` are templates: every world gets its
+    own copies, so one Scenario can be run under many seeds."""
+
     schema_version: int
     mode: str
     local: MacId
-    devices: list[DeviceSpec]
-    seed: int | None = None
-    radio: RadioParams = field(default_factory=RadioParams)
-    loss_probability: float = 0.0
-    roster: Roster | None = None
-    file_name: str = "cpi.txt"
-    file_payload: bytes | None = None
-    file_path: str | None = None
-    inquiry_interval: SimTime = 30_000
-    step_target: MacId | None = None
-    usage: CourseUsage | None = None
-    base_dir: str = "."
+    devices: list[RadioDevice]
+    seed: int | None
+    radio: RadioParams
+    loss_probability: float
+    roster: Roster | None
+    file_name: str
+    file_payload: bytes | None
+    file_path: str | None  # already resolved against the scenario's directory
+    inquiry_interval: SimTime
+    step_target: MacId | None
+    usage: CourseUsage | None
 
     def build_world(self, seed: int) -> SimWorld:
         world = SimWorld(seed=seed, params=self.radio,
                          loss_probability=self.loss_probability)
-        for spec in self.devices:
-            world.add_device(spec.build())
+        for d in self.devices:
+            world.add_device(RadioDevice(
+                mac=d.mac, friendly_name=d.friendly_name, position=d.position,
+                powered=d.powered, discoverable=d.discoverable,
+                services=list(d.services), arrival=d.arrival,
+                departure=d.departure, refuse_push=d.refuse_push,
+                drop_transfers=d.drop_transfers, max_packet=d.max_packet))
         return world
 
     def resolve_payload(self) -> tuple[str, bytes]:
-        """(file name, payload bytes); reads file_path relative to the
-        scenario file when no inline payload was given."""
+        """(file name, payload bytes); reads file_path when no inline
+        payload was given."""
         if self.file_payload is not None:
             return self.file_name, self.file_payload
         if self.file_path is None:
             raise ScenarioError("scenario has neither inline payload nor file path")
-        path = self.file_path
-        if not os.path.isabs(path):
-            path = os.path.join(self.base_dir, path)
         try:
-            with open(path, "rb") as fh:
+            with open(self.file_path, "rb") as fh:
                 return self.file_name, fh.read()
         except OSError as exc:
-            raise ScenarioError(f"file-not-found: {path}") from exc
+            raise ScenarioError(f"file-not-found: {self.file_path}") from exc
 
 
 def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
@@ -143,17 +134,10 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
     seed = _expect(data, "seed", int, "scenario", default=None)
 
     radio_obj = _expect(data, "radio", dict, "scenario", default={})
-    _check_keys(radio_obj, _RADIO_KEYS, "scenario.radio")
+    _check_keys(radio_obj, _RADIO_TYPES, "scenario.radio")
     try:
-        radio = RadioParams(
-            range_m=float(radio_obj.get("range_m", 10.0)),
-            inquiry_duration=int(radio_obj.get("inquiry_duration", 16_000)),
-            service_search_per_device=int(
-                radio_obj.get("service_search_per_device", 2_000)),
-            link_rate_bps=int(radio_obj.get("link_rate_bps", 3_000_000)),
-            session_overhead=int(radio_obj.get("session_overhead", 100)),
-        )
-    except (TypeError, ValueError) as exc:
+        radio = RadioParams(**_given(radio_obj, _RADIO_TYPES, "scenario.radio"))
+    except ValueError as exc:
         raise ScenarioError(f"scenario.radio: {exc}") from None
 
     loss = _expect(data, "loss_probability", (int, float), "scenario", default=0.0)
@@ -174,8 +158,11 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
 
     file_name, payload, file_path = _parse_file(
         _expect(data, "file", dict, "scenario", default={}))
+    if file_path is not None:
+        file_path = os.path.join(base_dir, file_path)
 
-    interval = _expect(data, "inquiry_interval", int, "scenario", default=30_000)
+    interval = _expect(data, "inquiry_interval", int, "scenario",
+                       default=DEFAULT_INQUIRY_INTERVAL)
     if interval <= 0:
         raise ScenarioError("scenario.inquiry_interval: must be positive")
 
@@ -201,8 +188,7 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
         schema_version=version, mode=mode, local=local, devices=devices,
         seed=seed, radio=radio, loss_probability=float(loss), roster=roster,
         file_name=file_name, file_payload=payload, file_path=file_path,
-        inquiry_interval=interval, step_target=step_target, usage=usage,
-        base_dir=base_dir)
+        inquiry_interval=interval, step_target=step_target, usage=usage)
 
 
 def _parse_mac(text: str, where: str) -> MacId:
@@ -212,8 +198,8 @@ def _parse_mac(text: str, where: str) -> MacId:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _parse_devices(items: list) -> list[DeviceSpec]:
-    devices: list[DeviceSpec] = []
+def _parse_devices(items: list) -> list[RadioDevice]:
+    devices: list[RadioDevice] = []
     seen: set[MacId] = set()
     for i, obj in enumerate(items):
         where = f"scenario.devices[{i}]"
@@ -230,17 +216,12 @@ def _parse_devices(items: list) -> list[DeviceSpec]:
         services = _parse_services(
             _expect(obj, "services", list, where, default=[]), mac, where)
         try:
-            devices.append(DeviceSpec(
+            devices.append(RadioDevice(
                 mac=mac,
-                name=_expect(obj, "name", str, where),
+                friendly_name=_expect(obj, "name", str, where),
                 position=(float(pos[0]), float(pos[1])),
-                powered=_expect(obj, "powered", bool, where, default=True),
-                discoverable=_expect(obj, "discoverable", bool, where, default=True),
-                arrival=_expect(obj, "arrival", int, where, default=0),
-                departure=_expect(obj, "departure", int, where, default=None),
-                refuse_push=_expect(obj, "refuse_push", bool, where, default=False),
-                drop_transfers=_expect(obj, "drop_transfers", int, where, default=0),
                 services=services,
+                **_given(obj, _DEVICE_TYPES, where),
             ))
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
@@ -289,12 +270,7 @@ def _parse_roster(obj: dict, device_macs: set[MacId]) -> Roster:
             course_id=_expect(obj, "course_id", str, where),
             members=frozenset(macs),
             course_start=_expect(obj, "course_start", int, where),
-            window_before=_expect(obj, "window_before", int, where,
-                                  default=240_000),
-            window_after=_expect(obj, "window_after", int, where,
-                                 default=240_000),
-            late_cutoff=_expect(obj, "late_cutoff", int, where, default=None),
-            max_retries=_expect(obj, "max_retries", int, where, default=3),
+            **_given(obj, _ROSTER_TYPES, where),
         )
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
@@ -316,7 +292,7 @@ def _parse_file(obj: dict) -> tuple[str, bytes | None, str | None]:
             payload = bytes.fromhex(hex_text)
         except ValueError:
             raise ScenarioError(f"{where}.hex: not valid hex") from None
-    default_name = os.path.basename(path) if path else "cpi.txt"
+    default_name = os.path.basename(path) if path else StepConfig.file_name
     name = _expect(obj, "name", str, where, default=default_name)
     if not name:
         raise ScenarioError(f"{where}.name: must be non-empty")

@@ -60,10 +60,6 @@ def parse_url(text: str) -> ConnectionUrl:
         raise MalformedUrlError(str(exc)) from None
 
 
-def parse_mac_from_url(url_text: str) -> MacId:
-    return parse_url(url_text).mac
-
-
 @dataclass(frozen=True)
 class ServiceRecord:
     service_id: int
@@ -86,9 +82,6 @@ class ServiceCatalog:
     services: dict[MacId, list[ServiceRecord]] = field(default_factory=dict)
     empty: list[MacId] = field(default_factory=list)
     departed: list[MacId] = field(default_factory=list)
-
-    def queried(self) -> set[MacId]:
-        return set(self.services) | set(self.empty) | set(self.departed)
 
     def with_services(self) -> list[MacId]:
         return sorted(self.services)

@@ -50,6 +50,8 @@ class MacId(str):
     __slots__ = ()
 
     def __new__(cls, value: str) -> "MacId":
+        if isinstance(value, MacId):
+            return value
         text = str(value).upper()
         if not _MAC_PATTERN.fullmatch(text):
             raise ValueError(f"not a 12-hex-digit MAC: {value!r}")
@@ -298,10 +300,6 @@ class SimWorld:
 # -- module-level operations ----------------------------------------------
 
 
-def advance(world: SimWorld, until: SimTime) -> list[LogEvent]:
-    return world.advance(until)
-
-
 def in_range(a: RadioDevice, b: RadioDevice, params: RadioParams) -> bool:
     return math.dist(a.position, b.position) <= params.range_m
 
@@ -357,7 +355,3 @@ def _inquiry_complete(world: SimWorld, handle: InquiryHandle) -> None:
     macs = sorted(m for m, _ in handle.discovered)
     world.emit("inquiry_completed", initiator=handle.initiator,
                count=len(macs), macs=",".join(macs))
-
-
-def connect(world: SimWorld, master: MacId, slave: MacId) -> LinkHandle:
-    return world.connect(master, slave)

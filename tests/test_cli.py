@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from pidsim.cli import main
 from pidsim.scenario import shipped_fixture_path
 
@@ -123,6 +125,39 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert "bogus" in err
+
+    # Scenarios that once passed validate, then failed or misran under run:
+    # both commands now reject them with the same single line.
+    gaps = [
+        (lambda d: d["devices"][1].update(arrival=-5), "scenario.devices[1]: "),
+        (lambda d: d["devices"][1].update(arrival=1000, departure=1000),
+         "scenario.devices[1]: "),
+        (lambda d: d.update(radio={"inquiry_duration": "16000"}),
+         "scenario.radio.inquiry_duration: "),
+        (lambda d: d.update(radio={"link_rate_bps": True}),
+         "scenario.radio.link_rate_bps: "),
+    ]
+    for mutate, where in gaps:
+        data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+        mutate(data)
+        path.write_text(json.dumps(data))
+        for command in ("validate", "run"):
+            code, _, err = run_cli(capsys, command, str(path))
+            assert code == 1
+            assert err.count("\n") == 1
+            assert err.startswith("error: " + where)
+            assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,target", [("--report", "out"), ("--log", "x.log")])
+def test_unwritable_output_is_one_error_line(capsys, tmp_path, flag, target):
+    plain = tmp_path / "plain"
+    plain.write_text("")  # a regular file, so nothing can be created under it
+    code, _, err = run_cli(capsys, "run", "late_arrival", flag, str(plain / target))
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert "Traceback" not in err
 
 
 def _live_test_with_file_name(tmp_path, name):

@@ -6,6 +6,7 @@ import pytest
 
 from pidsim.errors import ScenarioError
 from pidsim.obexlite import DEFAULT_MAX_PACKET, first_frame_capacity
+from pidsim.pidctl import run_proactive
 from pidsim.scenario import (
     load_scenario,
     parse_scenario,
@@ -45,9 +46,9 @@ def test_fig6_fixture_contents():
     assert sc.mode == "stepped"
     by_mac = {d.mac: d for d in sc.devices}
     assert len(sc.devices) == 6  # client + the five discovered devices
-    assert by_mac["00179A235EDD"].name == "EB-LAPTOP-D400"
-    assert by_mac["0007616110B1"].name == "Dell BT Mouse"
-    assert by_mac["00164410697A"].name == "DELL BH200"
+    assert by_mac["00179A235EDD"].friendly_name == "EB-LAPTOP-D400"
+    assert by_mac["0007616110B1"].friendly_name == "Dell BT Mouse"
+    assert by_mac["00164410697A"].friendly_name == "DELL BH200"
     counts = sorted(len(d.services) for d in sc.devices if d.mac != sc.local)
     assert counts == [0, 0, 1, 4, 7]
     laptop = by_mac["00179A235EDD"]
@@ -188,6 +189,20 @@ def test_build_world_is_fresh_each_time():
     w1.device("00179A235EDD").inbox["x"] = b"y"
     assert w2.device("00179A235EDD").inbox == {}
 
+    # A run consumes its world's drop budget, never the parsed template's.
+    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    data["devices"][1]["drop_transfers"] = 1
+    sc = parse_scenario(data)
+    logs = []
+    for _ in range(2):
+        world = sc.build_world(sc.seed)
+        run_proactive(world, sc.roster, sc.resolve_payload(),
+                      inquiry_interval=sc.inquiry_interval, local=sc.local)
+        logs.append(world.render_log())
+    assert "reason=link-lost" in logs[0]
+    assert logs[0] == logs[1]
+    assert sc.devices[1].drop_transfers == 1
+
 
 def test_scenario_radio_overrides():
     data = _minimal(radio={"range_m": 3.5, "inquiry_duration": 8000})
@@ -195,3 +210,14 @@ def test_scenario_radio_overrides():
     assert sc.radio.range_m == 3.5
     assert sc.radio.inquiry_duration == 8000
     assert sc.radio.link_rate_bps == 3_000_000
+    with pytest.raises(ScenarioError, match=r"^scenario\.radio\.link_rate_bps: "
+                       r"expected int, got a boolean$"):
+        parse_scenario(_minimal(radio={"link_rate_bps": True}))
+    with pytest.raises(ScenarioError, match=r"^scenario\.radio\.inquiry_duration: "
+                       r"expected int, got str$"):
+        parse_scenario(_minimal(radio={"inquiry_duration": "16000"}))
+    data = _minimal()
+    data["devices"][0]["arrival"] = True
+    with pytest.raises(ScenarioError, match=r"^scenario\.devices\[0\]\.arrival: "
+                       r"expected int, got a boolean$"):
+        parse_scenario(data)

@@ -10,7 +10,6 @@ from pidsim.sdp import (
     ServiceCatalog,
     ServiceRecord,
     filter_ftp,
-    parse_mac_from_url,
     parse_url,
     search_services,
 )
@@ -23,16 +22,16 @@ from .conftest import LOCAL, ftp_record, make_device, make_world, mac, plain_rec
 
 
 def test_parse_mac_from_published_url():
-    assert parse_mac_from_url("http://00179A235EDD:8001/obex/") == "00179A235EDD"
+    assert parse_url("http://00179A235EDD:8001/obex/").mac == "00179A235EDD"
 
 
 def test_parse_mac_trivial_url():
-    assert parse_mac_from_url("btgoep://000000000000:1/x") == "000000000000"
+    assert parse_url("btgoep://000000000000:1/x").mac == "000000000000"
 
 
 def test_parse_rejects_bad_authority():
     with pytest.raises(MalformedUrlError):
-        parse_mac_from_url("http://ZZ179A235EDD:8001/obex/")
+        parse_url("http://ZZ179A235EDD:8001/obex/")
 
 
 @pytest.mark.parametrize("text", [

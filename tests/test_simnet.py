@@ -41,6 +41,7 @@ def test_mac_uppercases_and_validates():
 def test_mac_canonicalization_idempotent(text):
     once = MacId(text)
     assert MacId(once) == once
+    assert MacId(once) is once
     assert once == text.upper()
 
 
