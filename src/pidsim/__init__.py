@@ -64,7 +64,6 @@ from .simnet import (
     InquiryHandle,
     LinkHandle,
     MacId,
-    Piconet,
     RadioDevice,
     RadioParams,
     SimTime,

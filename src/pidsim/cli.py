@@ -10,9 +10,11 @@ Subcommands::
     pid-sim metrics --pages-total N
 
 Exit code is 0 unless something went wrong internally or the input was
-invalid; undelivered roster members do not fail the process.  When neither
---seed nor the scenario provides a seed, the PID_SIM_SEED environment
-variable is used, then 0.
+invalid; undelivered roster members do not fail the process.  A scenario
+of a batch that fails prints one error line and sets the exit code to 1;
+the other scenarios still run and report.  When neither --seed nor the
+scenario provides a seed, the PID_SIM_SEED environment variable is used,
+then 0.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .errors import ScenarioError, SimError
@@ -41,6 +44,9 @@ from .scenario import Scenario, load_scenario, shipped_fixture_path
 from .simnet import SimWorld
 
 ENV_SEED = "PID_SIM_SEED"
+
+# Failures that end one scenario (or the command) with one ``error:`` line.
+_CLEAN_ERRORS = (SimError, ValueError, ZeroDivisionError, OSError)
 
 
 @dataclass
@@ -180,31 +186,44 @@ def _run_one(path: str, seed_flag: int | None, report_dir: str | None,
     return out
 
 
+def _run_isolated(arg: str, **kwargs) -> tuple[str, str | None]:
+    """(stdout text, None), or ("", error message) if the scenario fails."""
+    try:
+        return _run_one(_resolve_scenario_path(arg), **kwargs), None
+    except _CLEAN_ERRORS as exc:
+        return "", str(exc)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    paths = [_resolve_scenario_path(s) for s in args.scenarios]
     if args.step:
-        if len(paths) != 1:
+        if len(args.scenarios) != 1:
             raise ScenarioError("--step runs exactly one scenario")
-        execute_scenario(paths[0], args.seed, interactive=True)
+        execute_scenario(_resolve_scenario_path(args.scenarios[0]), args.seed,
+                         interactive=True)
         return 0
-    subdir = len(paths) > 1
-    if args.jobs > 1 and len(paths) > 1:
+    subdir = len(args.scenarios) > 1
+    job = partial(_run_isolated, seed_flag=args.seed, report_dir=args.report,
+                  log_file=None if subdir else args.log, subdir=subdir)
+    if args.jobs > 1 and subdir:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_one, p, args.seed, args.report,
-                                   None if subdir else args.log, subdir)
-                       for p in paths]
-            outputs = [f.result() for f in futures]
+            results = list(pool.map(job, args.scenarios))
     else:
-        outputs = [_run_one(p, args.seed, args.report,
-                            args.log if len(paths) == 1 else None, subdir)
-                   for p in paths]
-    for out in outputs:
-        sys.stdout.write(out)
-    return 0
+        results = map(job, args.scenarios)
+    status = 0
+    for out, error in results:
+        if error is None:
+            sys.stdout.write(out)
+        else:
+            print(f"error: {error}", file=sys.stderr)
+            status = 1
+    return status
+
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     path = _resolve_scenario_path(args.scenario)
     scenario = load_scenario(path)
+    if scenario.mode == "proactive":
+        scenario.resolve_payload()  # run reads the payload file up front too
     print(f"ok: {path} ({scenario.mode}, {len(scenario.devices)} devices)")
     return 0
 
@@ -254,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_metrics(args)
-    except (SimError, ValueError, ZeroDivisionError, OSError) as exc:
+    except _CLEAN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

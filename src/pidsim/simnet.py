@@ -109,12 +109,6 @@ class RadioDevice:
         return self.departure is None or t < self.departure
 
 
-@dataclass
-class Piconet:
-    master: MacId
-    slaves: set[MacId] = field(default_factory=set)
-
-
 @dataclass(frozen=True)
 class LogEvent:
     """One logged world event; ``fields`` is pre-rendered and key-sorted."""
@@ -148,7 +142,6 @@ class InquiryHandle:
 class LinkHandle:
     master: MacId
     slave: MacId
-    opened_at: SimTime
     open: bool = True
     closed_reason: str | None = None
 
@@ -167,14 +160,13 @@ class SimWorld:
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
         self.now: SimTime = 0
-        self.rng_seed = seed
         self.rng = random.Random(seed)
         self.params = params or RadioParams()
         self.loss_probability = loss_probability
         self.devices: dict[MacId, RadioDevice] = {}
-        self.piconets: list[Piconet] = []
+        # Open links only, keyed (master, slave), in the order they opened.
+        self.links: dict[tuple[MacId, MacId], LinkHandle] = {}
         self.log: list[LogEvent] = []
-        self._links: list[LinkHandle] = []
         self._queue: list[tuple[SimTime, int, Callable[[SimWorld], None]]] = []
         self._sched_seq = 0
 
@@ -207,6 +199,8 @@ class SimWorld:
         self._sched_seq += 1
 
     def emit(self, event_name: str, **fields: object) -> LogEvent:
+        if self.log and self.now < self.log[-1].time:
+            raise AssertionError("event log went backwards in time")
         rendered = tuple(sorted((k, _render(v)) for k, v in fields.items()))
         event = LogEvent(self.now, len(self.log), event_name, rendered)
         self.log.append(event)
@@ -222,34 +216,24 @@ class SimWorld:
             at, _, action = heapq.heappop(self._queue)
             self.now = at
             action(self)
-            self.check_invariants()
         self.now = until
         return self.log[mark:]
-
-    def check_invariants(self) -> None:
-        for net in self.piconets:
-            if len(net.slaves) > MAX_SLAVES:
-                raise AssertionError(f"piconet of {net.master} exceeds {MAX_SLAVES} slaves")
-            if net.master in net.slaves:
-                raise AssertionError("piconet master listed as its own slave")
-        if len(self.log) >= 2 and self.log[-2].time > self.log[-1].time:
-            raise AssertionError("event log went backwards in time")
 
     def render_log(self) -> str:
         return "".join(ev.line() + "\n" for ev in self.log)
 
     # -- piconet links -----------------------------------------------------
 
-    def piconet_of(self, master: MacId) -> Piconet | None:
-        for net in self.piconets:
-            if net.master == master:
-                return net
-        return None
+    def slaves_of(self, master: MacId) -> list[MacId]:
+        """The slaves ``master`` holds open links to, in the order they opened."""
+        return [s for m, s in self.links if m == master]
 
     def connect(self, master: MacId, slave: MacId) -> LinkHandle:
         """Attach ``slave`` to ``master``'s piconet and open a link."""
         master = MacId(master)
         slave = MacId(slave)
+        if slave == master:
+            raise SimError(f"{master} cannot link to itself")
         m_dev = self.device(master)
         s_dev = self.device(slave)
         for dev in (m_dev, s_dev):
@@ -259,20 +243,14 @@ class SimWorld:
                 raise OutOfRangeError(f"{dev.mac} is not present")
         if not in_range(m_dev, s_dev, self.params):
             raise OutOfRangeError(f"{slave} is out of range of {master}")
-        net = self.piconet_of(master)
-        if net is None:
-            net = Piconet(master)
-            self.piconets.append(net)
-        if slave in net.slaves:
+        if (master, slave) in self.links:
             raise SimError(f"{slave} is already a slave of {master}")
-        if len(net.slaves) >= MAX_SLAVES:
+        if len(self.slaves_of(master)) >= MAX_SLAVES:
             raise PiconetFullError(
                 f"piconet of {master} already has {MAX_SLAVES} slaves")
-        net.slaves.add(slave)
-        link = LinkHandle(master, slave, self.now)
-        self._links.append(link)
+        link = LinkHandle(master, slave)
+        self.links[master, slave] = link
         self.emit("link_connected", master=master, slave=slave)
-        self.check_invariants()
         return link
 
     def disconnect(self, link: LinkHandle, reason: str = "disconnect") -> None:
@@ -280,20 +258,12 @@ class SimWorld:
             return
         link.open = False
         link.closed_reason = reason
-        net = self.piconet_of(link.master)
-        if net is not None:
-            net.slaves.discard(link.slave)
-            if not net.slaves:
-                self.piconets.remove(net)
+        del self.links[link.master, link.slave]
         self.emit("link_closed", master=link.master, slave=link.slave, reason=reason)
 
-    def open_links(self) -> list[LinkHandle]:
-        return [ln for ln in self._links if ln.open]
-
     def _depart(self, mac: MacId) -> None:
-        for link in self._links:
-            if link.open and mac in (link.master, link.slave):
-                self.disconnect(link, reason="departed")
+        for link in [ln for key, ln in self.links.items() if mac in key]:
+            self.disconnect(link, reason="departed")
         self.emit("device_departed", mac=mac)
 
 
@@ -338,10 +308,8 @@ def start_inquiry(world: SimWorld, initiator: MacId,
 
 def _inquiry_response(world: SimWorld, handle: InquiryHandle,
                       mac: MacId, params: RadioParams) -> None:
-    dev = world.devices.get(mac)
-    ini = world.devices.get(handle.initiator)
-    if dev is None or ini is None:
-        return
+    dev = world.devices[mac]
+    ini = world.devices[handle.initiator]
     if not (ini.powered and ini.present_at(world.now)):
         return
     if dev.powered and dev.discoverable and dev.present_at(world.now) \

@@ -112,6 +112,21 @@ def test_run_multiple_scenarios_with_jobs(capsys, tmp_path):
     assert out.index("fig6_classroom") < out.index("live_test")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bad_scenario_in_a_batch_keeps_the_good_reports(capsys, tmp_path, jobs):
+    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    data["file"] = {"path": "nope.txt"}
+    bad = tmp_path / "missing_file.scn"
+    bad.write_text(json.dumps(data))
+    solo = [_strip_banner(run_cli(capsys, "run", name)[1])
+            for name in ("late_arrival", "fig6_classroom")]
+    code, out, err = run_cli(capsys, "run", "late_arrival", str(bad),
+                             "fig6_classroom", "--jobs", jobs)
+    assert code == 1
+    assert _strip_banner(out) == "".join(solo)
+    assert err == f"error: file-not-found: {tmp_path / 'nope.txt'}\n"
+
+
 def test_validate_ok(capsys):
     code, out, _ = run_cli(capsys, "validate", "live_test")
     assert code == 0
@@ -136,6 +151,7 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
          "scenario.radio.inquiry_duration: "),
         (lambda d: d.update(radio={"link_rate_bps": True}),
          "scenario.radio.link_rate_bps: "),
+        (lambda d: d.update(file={"path": "nope.txt"}), "file-not-found: "),
     ]
     for mutate, where in gaps:
         data = json.loads(open(shipped_fixture_path("late_arrival")).read())

@@ -19,6 +19,8 @@ from pidsim.pidctl import (
     run_stepped,
     verify_member,
 )
+from pidsim.scenario import load_scenario, shipped_fixture_path
+
 from .conftest import LOCAL, ftp_record, make_device, make_world, mac, plain_record
 
 FILE = ("cpi.txt", b"course packet index\n")
@@ -250,6 +252,18 @@ def test_run_proactive_late_arrival_with_cutoff():
     assert w.device(late).inbox == {}
 
 
+def test_run_proactive_leaves_only_open_links():
+    scenario = load_scenario(shipped_fixture_path("late_arrival"))
+    w = scenario.build_world(0)
+    run_proactive(w, scenario.roster, scenario.resolve_payload(),
+                  params=scenario.radio,
+                  inquiry_interval=scenario.inquiry_interval,
+                  local=scenario.local)
+    assert any(e.name == "link_connected" for e in w.log)
+    assert all(link.open for link in w.links.values())
+    assert w.links == {}  # every push closes its link
+
+
 def test_run_proactive_late_arrival_without_cutoff_is_served():
     w, roster = _classroom(n_members=1)
     late = mac(2)
@@ -363,6 +377,9 @@ def test_stepped_and_proactive_agree_on_static_world():
 def test_session_state_invariant_checks():
     state = SessionState(members=frozenset({mac(1)}), pending={mac(1)})
     state.mark_delivered(mac(1), 5)
-    state.check()
+    assert state.delivered == {mac(1): 5}
+    assert state.pending == set() and state.skipped == {}
+    with pytest.raises(KeyError):
+        state.mark_delivered(mac(1), 6)  # delivered exactly once
     with pytest.raises(KeyError):
         state.mark_skipped(mac(1), "late")  # no longer pending

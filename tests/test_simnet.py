@@ -10,6 +10,7 @@ from pidsim.errors import (
     OutOfRangeError,
     PiconetFullError,
     PoweredOffError,
+    SimError,
     UnknownDeviceError,
 )
 from pidsim.simnet import (
@@ -234,8 +235,7 @@ def test_connect_seventh_slave_ok_eighth_rejected():
     for i in range(1, 7):
         w.connect(LOCAL, mac(i))
     w.connect(LOCAL, mac(7))  # boundary inside the cap
-    net = w.piconet_of(LOCAL)
-    assert len(net.slaves) == 7
+    assert len(w.slaves_of(LOCAL)) == 7
     with pytest.raises(PiconetFullError):
         w.connect(LOCAL, mac(8))
 
@@ -257,12 +257,11 @@ def test_departure_closes_link_and_frees_slot():
     w.add_device(make_device(mac(9), "leaver", 2.0, 0.0, departure=5_000))
     link = w.connect(LOCAL, mac(9))
     assert link.open
-    assert mac(9) in w.piconet_of(LOCAL).slaves
+    assert mac(9) in w.slaves_of(LOCAL)
     w.advance(6_000)
     assert not link.open
     assert link.closed_reason == "departed"
-    net = w.piconet_of(LOCAL)
-    assert net is None or mac(9) not in net.slaves
+    assert mac(9) not in w.slaves_of(LOCAL)
     closed = [e for e in w.log if e.name == "link_closed"]
     assert dict(closed[0].fields)["reason"] == "departed"
 
@@ -271,8 +270,53 @@ def test_disconnect_removes_empty_piconet():
     w = make_world(n_others=1)
     link = w.connect(LOCAL, mac(1))
     w.disconnect(link)
-    assert w.piconet_of(LOCAL) is None
+    assert w.slaves_of(LOCAL) == []
     assert not link.open
+
+
+def test_connect_rejects_self_link_before_any_change():
+    w = make_world(n_others=1)
+    with pytest.raises(SimError):
+        w.connect(LOCAL, LOCAL)
+    assert w.links == {}
+    assert not any(e.name == "link_connected" for e in w.log)
+
+
+def test_links_hold_only_open_links():
+    w = make_world(n_others=2)
+    w.add_device(make_device(mac(9), "leaver", 2.0, 0.0, departure=5_000))
+    first = w.connect(LOCAL, mac(1))
+    leaving = w.connect(LOCAL, mac(9))
+    last = w.connect(LOCAL, mac(2))
+    w.disconnect(first)
+    assert list(w.links.values()) == [leaving, last]
+    w.advance(6_000)
+    assert not leaving.open
+    assert w.links == {(LOCAL, mac(2)): last}
+    assert w.slaves_of(LOCAL) == [mac(2)]
+
+
+def test_departure_closes_links_in_the_order_they_opened():
+    w = make_world(n_others=2)
+    w.add_device(make_device(mac(9), "hub", 2.0, 0.0, departure=5_000))
+    w.connect(mac(9), mac(2))
+    w.connect(LOCAL, mac(9))
+    w.connect(mac(9), mac(1))
+    w.advance(6_000)
+    closed = [dict(e.fields) for e in w.log if e.name == "link_closed"]
+    assert [(c["master"], c["slave"]) for c in closed] == [
+        (mac(9), mac(2)), (LOCAL, mac(9)), (mac(9), mac(1))]
+    assert w.links == {}
+
+
+def test_emit_refuses_an_event_earlier_than_the_last_one():
+    w = make_world()
+    w.now = 5
+    w.emit("first")
+    w.now = 3
+    with pytest.raises(AssertionError):
+        w.emit("second")
+    assert [e.name for e in w.log] == ["first"]
 
 
 # -- transfer duration -------------------------------------------------------
