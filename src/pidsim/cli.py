@@ -12,9 +12,10 @@ Subcommands::
 Exit code is 0 unless something went wrong internally or the input was
 invalid; undelivered roster members do not fail the process.  A scenario
 of a batch that fails prints one error line and sets the exit code to 1;
-the other scenarios still run and report.  When neither --seed nor the
-scenario provides a seed, the PID_SIM_SEED environment variable is used,
-then 0.
+the other scenarios still run and report.  --step and --log take exactly
+one scenario; with several, --report DIR keeps one log.txt per scenario.
+When neither --seed nor the scenario provides a seed, the PID_SIM_SEED
+environment variable is used, then 0.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--report", metavar="DIR", default=None,
                        help="write log/report/savings files into DIR")
     run_p.add_argument("--log", metavar="FILE", default=None,
-                       help="write the event log to FILE")
+                       help="write the event log to FILE (one scenario only)")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="run multiple scenarios in parallel processes")
 
@@ -202,8 +203,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                          interactive=True)
         return 0
     subdir = len(args.scenarios) > 1
+    if subdir and args.log:
+        raise ScenarioError("--log writes one scenario's log; "
+                            "use --report DIR for several")
     job = partial(_run_isolated, seed_flag=args.seed, report_dir=args.report,
-                  log_file=None if subdir else args.log, subdir=subdir)
+                  log_file=args.log, subdir=subdir)
     if args.jobs > 1 and subdir:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(job, args.scenarios))

@@ -80,7 +80,11 @@ class RadioDevice:
     """One simulated endpoint: identity, state, position, service records.
 
     ``arrival``/``departure`` script presence; a device takes part in
-    discovery only while powered, discoverable, and present.
+    discovery only while powered, discoverable, and present.  The presence
+    window is fixed once the device is added to a world: ``add_device``
+    schedules its arrival and departure events then, and inquiry decides
+    from it which responses to schedule at all.  ``powered``,
+    ``discoverable`` and ``position`` may change at any time.
     """
 
     mac: MacId
@@ -109,7 +113,7 @@ class RadioDevice:
         return self.departure is None or t < self.departure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEvent:
     """One logged world event; ``fields`` is pre-rendered and key-sorted."""
 
@@ -169,6 +173,7 @@ class SimWorld:
         self.log: list[LogEvent] = []
         self._queue: list[tuple[SimTime, int, Callable[[SimWorld], None]]] = []
         self._sched_seq = 0
+        self._sorted_macs: tuple[MacId, ...] | None = None  # cleared by add_device
 
     # -- device registry -------------------------------------------------
 
@@ -176,6 +181,7 @@ class SimWorld:
         if device.mac in self.devices:
             raise ValueError(f"duplicate MAC {device.mac}")
         self.devices[device.mac] = device
+        self._sorted_macs = None
         if device.arrival > self.now:
             self.schedule(device.arrival,
                           lambda w, m=device.mac: w.emit("device_arrived", mac=m))
@@ -183,6 +189,12 @@ class SimWorld:
             self.schedule(device.departure,
                           lambda w, m=device.mac: w._depart(m))
         return device
+
+    def sorted_macs(self) -> tuple[MacId, ...]:
+        """Every device's MAC in ascending order."""
+        if self._sorted_macs is None:
+            self._sorted_macs = tuple(sorted(self.devices))
+        return self._sorted_macs
 
     def device(self, mac: MacId) -> RadioDevice:
         try:
@@ -201,7 +213,7 @@ class SimWorld:
     def emit(self, event_name: str, **fields: object) -> LogEvent:
         if self.log and self.now < self.log[-1].time:
             raise AssertionError("event log went backwards in time")
-        rendered = tuple(sorted((k, _render(v)) for k, v in fields.items()))
+        rendered = tuple([(k, _render(v)) for k, v in sorted(fields.items())])
         event = LogEvent(self.now, len(self.log), event_name, rendered)
         self.log.append(event)
         return event
@@ -287,9 +299,12 @@ def start_inquiry(world: SimWorld, initiator: MacId,
     """Begin neighbor discovery from ``initiator``.
 
     Every other device gets one uniform response instant inside
-    (now, now+inquiry_duration], drawn in MAC order from the world RNG;
-    whether it actually responds is decided at that instant (powered,
-    discoverable, in range, present).  Advance the world past
+    (now, now+inquiry_duration], drawn in MAC order from the world RNG.
+    A response event is scheduled only if the device is present at that
+    instant: its presence window is fixed once it is added, so a device
+    that has not arrived yet or has left costs one draw and no event.
+    Power, discoverability and range may still change mid-inquiry and are
+    checked when the response fires.  Advance the world past
     ``handle.completes_at`` to collect the result.
     """
     params = params or world.params
@@ -299,9 +314,16 @@ def start_inquiry(world: SimWorld, initiator: MacId,
         raise PoweredOffError(f"initiator {initiator} is powered off")
     handle = InquiryHandle(initiator, world.now, world.now + params.inquiry_duration)
     world.emit("inquiry_started", initiator=initiator)
-    for mac in sorted(m for m in world.devices if m != initiator):
-        at = world.now + 1 + world.rng.randrange(params.inquiry_duration)
-        world.schedule(at, lambda w, m=mac, h=handle, p=params: _inquiry_response(w, h, m, p))
+    first = world.now + 1
+    draw = world.rng.randrange
+    devices = world.devices
+    for mac in world.sorted_macs():
+        if mac == initiator:
+            continue
+        at = first + draw(params.inquiry_duration)
+        if devices[mac].present_at(at):
+            world.schedule(at, lambda w, m=mac, h=handle, p=params:
+                           _inquiry_response(w, h, m, p))
     world.schedule(handle.completes_at, lambda w, h=handle: _inquiry_complete(w, h))
     return handle
 
@@ -312,8 +334,8 @@ def _inquiry_response(world: SimWorld, handle: InquiryHandle,
     ini = world.devices[handle.initiator]
     if not (ini.powered and ini.present_at(world.now)):
         return
-    if dev.powered and dev.discoverable and dev.present_at(world.now) \
-            and in_range(ini, dev, params):
+    # start_inquiry scheduled this response only if the device is present now.
+    if dev.powered and dev.discoverable and in_range(ini, dev, params):
         handle.discovered.append((mac, world.now))
         world.emit("device_discovered", mac=mac, name=dev.friendly_name)
 

@@ -261,6 +261,16 @@ def test_step_mode_gates_on_input(capsys, monkeypatch, tmp_path):
     assert "Step 8." in out
 
 
+def test_log_with_several_scenarios_is_one_error_line(capsys, tmp_path):
+    log = tmp_path / "x.log"
+    code, out, err = run_cli(capsys, "run", "fig6_classroom", "late_arrival",
+                             "--log", str(log), "--report", str(tmp_path / "r"))
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: --log ")
+    assert _strip_banner(out) == ""
+    assert os.listdir(tmp_path) == []  # nothing ran
+
+
 def test_step_flag_rejected_for_proactive(capsys):
     code, _, err = run_cli(capsys, "run", "live_test", "--step")
     assert code == 1

@@ -1,5 +1,10 @@
-"""Frozen golden corpus: each shipped fixture at seeds 0, 1 and 42 replays to
-its recorded ``log.txt`` and ``report.txt`` bytes.
+"""Frozen golden corpus: each shipped fixture, and the synthetic classroom in
+``tests/data/classroom200.scn``, at seeds 0, 1 and 42 replays to its recorded
+``log.txt`` and ``report.txt`` bytes.
+
+The classroom is the crowd the shipped fixtures lack: 200 devices arriving
+through the window, departures mid-window, devices out of range, powered off
+or undiscoverable, refusals, scripted drops and link loss.
 
 A change that alters these bytes is a behaviour change.  After an intended
 one, rewrite the corpus with ``PYTHONPATH=src python -m tests.test_golden``
@@ -15,10 +20,18 @@ from pidsim.scenario import shipped_fixture_names, shipped_fixture_path
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEEDS = (0, 1, 42)
+SYNTHETIC = ("classroom200",)
+SCENARIOS = shipped_fixture_names() + list(SYNTHETIC)
+
+
+def _scenario_path(name: str) -> str:
+    if name in SYNTHETIC:
+        return os.path.join(DATA, f"{name}.scn")
+    return shipped_fixture_path(name)
 
 
 def _render(fixture: str, seed: int) -> dict[str, bytes]:
-    run = execute_scenario(shipped_fixture_path(fixture), seed)
+    run = execute_scenario(_scenario_path(fixture), seed)
     return {"log": run.log_text().encode("utf-8"),
             "report": run.report_text().encode("utf-8")}
 
@@ -28,7 +41,7 @@ def _golden_path(fixture: str, seed: int, kind: str) -> str:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("fixture", shipped_fixture_names())
+@pytest.mark.parametrize("fixture", SCENARIOS)
 def test_fixture_replays_to_frozen_bytes(fixture, seed):
     for kind, data in _render(fixture, seed).items():
         with open(_golden_path(fixture, seed, kind), "rb") as fh:
@@ -36,7 +49,7 @@ def test_fixture_replays_to_frozen_bytes(fixture, seed):
 
 
 if __name__ == "__main__":
-    for name in shipped_fixture_names():
+    for name in SCENARIOS:
         for seed in SEEDS:
             for kind, data in _render(name, seed).items():
                 with open(_golden_path(name, seed, kind), "wb") as fh:

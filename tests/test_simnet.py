@@ -227,6 +227,60 @@ def test_discovery_matches_brute_force_recomputation():
         assert set(h.discovered_macs()) == expected, f"seed {seed}"
 
 
+def test_inquiry_schedules_only_devices_present_at_their_instant():
+    """One inquiry over N devices pushes one event per device present at its
+    drawn instant, plus the completion event, yet still draws once for every
+    other device in MAC order."""
+    seed, n = 3, 60
+    params = RadioParams(inquiry_duration=1_000)
+    layout = random.Random(77)
+    w = SimWorld(seed=seed, params=params)
+    w.add_device(make_device(LOCAL, x=0.0, y=0.0))
+    for i in range(1, n):
+        arrival, departure = layout.choice([
+            (0, None),                           # there throughout
+            (0, 1),                              # gone before the first instant
+            (5_000, None),                       # arrives after the inquiry
+            (layout.randrange(1, 1_000), None),  # arrives during it
+            (0, layout.randrange(2, 1_000)),     # leaves during it
+        ])
+        w.add_device(make_device(mac(i), x=layout.uniform(0, 14), y=0.0,
+                                 powered=layout.random() < 0.9,
+                                 discoverable=layout.random() < 0.9,
+                                 arrival=arrival, departure=departure))
+
+    # Brute force: n - 1 draws, one per other device in MAC order.
+    oracle_rng = random.Random(seed)
+    local = w.devices[LOCAL]
+    present, expected = 0, []
+    for m in sorted(w.devices):
+        if m == LOCAL:
+            continue
+        t = 1 + oracle_rng.randrange(params.inquiry_duration)
+        dev = w.devices[m]
+        if dev.present_at(t):
+            present += 1
+            if dev.powered and dev.discoverable and in_range(local, dev, params):
+                expected.append((t, m))
+    assert 0 < len(expected) < present < n - 1
+
+    before = w._sched_seq
+    h = start_inquiry(w, LOCAL)
+    assert w._sched_seq - before == present + 1
+    assert w.rng.getstate() == oracle_rng.getstate()
+    w.advance(h.completes_at)
+    assert h.discovered == [(m, t) for t, m in sorted(expected)]
+
+
+def test_inquiry_sees_a_device_added_after_an_earlier_inquiry():
+    w = make_world(n_others=2, seed=4)
+    w.advance(start_inquiry(w, LOCAL).completes_at)
+    w.add_device(make_device(mac(3), x=2.0))
+    h = start_inquiry(w, LOCAL)
+    w.advance(h.completes_at)
+    assert sorted(h.discovered_macs()) == [mac(1), mac(2), mac(3)]
+
+
 # -- piconet links -----------------------------------------------------------
 
 
