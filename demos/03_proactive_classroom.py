@@ -25,7 +25,6 @@ def main():
 
     world = scenario.build_world(scenario.seed)
     report = run_proactive(world, roster, scenario.resolve_payload(),
-                           params=scenario.radio,
                            inquiry_interval=scenario.inquiry_interval,
                            local=scenario.local)
 

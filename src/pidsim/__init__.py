@@ -17,7 +17,6 @@ from .errors import (
 )
 from .metrics import (
     CourseUsage,
-    PaperConversion,
     SavingsSummary,
     campus_pages,
     pages_per_course,

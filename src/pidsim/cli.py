@@ -32,7 +32,6 @@ from . import __version__
 from .errors import ScenarioError, SimError
 from .metrics import (
     CourseUsage,
-    PaperConversion,
     SavingsSummary,
     campus_pages,
     pages_per_course,
@@ -58,7 +57,6 @@ class RunArtifacts:
     world: SimWorld
     report: StepReport | DeliveryReport
     savings: SavingsSummary | None = None
-    exit_code: int = 0
 
     def log_text(self) -> str:
         return self.world.render_log()
@@ -154,7 +152,6 @@ def execute_scenario(path: str, seed_flag: int | None = None,
         raise ScenarioError("--step requires a stepped-mode scenario")
     name, payload = scenario.resolve_payload()
     report = run_proactive(world, scenario.roster, (name, payload),
-                           params=scenario.radio,
                            inquiry_interval=scenario.inquiry_interval,
                            local=scenario.local)
     lines.extend(report.render_lines())
@@ -233,12 +230,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    conv = PaperConversion()
     if args.pages_total is not None:
         pages = args.pages_total
         print(f"pages={pages}")
-        print(f"reams={pages_to_reams(pages, conv)}")
-        print(f"trees={pages_to_trees(pages, conv)}")
+        print(f"reams={pages_to_reams(pages)}")
+        print(f"trees={pages_to_trees(pages)}")
         return 0
     if args.campus is not None:
         if args.pages_each is None:
@@ -248,8 +244,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(f"assumptions instructors={args.campus} "
               f"heavy_fraction={fraction} pages_each={args.pages_each}")
         print(f"pages={pages}")
-        print(f"reams={pages_to_reams(pages, conv)}")
-        print(f"trees={pages_to_trees(pages, conv)}")
+        print(f"reams={pages_to_reams(pages)}")
+        print(f"trees={pages_to_trees(pages)}")
         return 0
     if args.students is None or args.pages is None or args.weeks is None:
         raise ScenarioError(
@@ -262,8 +258,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
           f"weeks={usage.weeks}")
     print(f"pages_per_week={usage.students * usage.pages_per_student_week}")
     print(f"pages={pages}")
-    print(f"reams={pages_to_reams(pages, conv)}")
-    print(f"trees={pages_to_trees(pages, conv)}")
+    print(f"reams={pages_to_reams(pages)}")
+    print(f"trees={pages_to_trees(pages)}")
     return 0
 
 

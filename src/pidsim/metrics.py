@@ -13,6 +13,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .pidctl import DeliveryReport
 
+PAGES_PER_TREE = 8300
+REAMS_PER_TREE = 16
+
 
 @dataclass(frozen=True)
 class CourseUsage:
@@ -24,16 +27,6 @@ class CourseUsage:
         for name in ("students", "pages_per_student_week", "weeks"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class PaperConversion:
-    pages_per_tree: int = 8300
-    reams_per_tree: int = 16
-
-    @property
-    def pages_per_ream(self) -> Fraction:
-        return Fraction(self.pages_per_tree, self.reams_per_tree)
 
 
 def round_half_away_from_zero(x: Fraction) -> int:
@@ -64,12 +57,12 @@ def campus_pages(instructors: int, heavy_fraction, pages_per_heavy_instructor: i
     return int(heavy) * pages_per_heavy_instructor
 
 
-def pages_to_reams(pages: int, conv: PaperConversion = PaperConversion()) -> int:
-    return round_half_away_from_zero(Fraction(pages) / conv.pages_per_ream)
+def pages_to_reams(pages: int) -> int:
+    return round_half_away_from_zero(Fraction(pages * REAMS_PER_TREE, PAGES_PER_TREE))
 
 
-def pages_to_trees(pages: int, conv: PaperConversion = PaperConversion()) -> int:
-    return round_half_away_from_zero(Fraction(pages, conv.pages_per_tree))
+def pages_to_trees(pages: int) -> int:
+    return round_half_away_from_zero(Fraction(pages, PAGES_PER_TREE))
 
 
 @dataclass(frozen=True)
@@ -91,11 +84,9 @@ class SavingsSummary:
         ]
 
 
-def savings_report(report: "DeliveryReport", usage: CourseUsage,
-                   conv: PaperConversion = PaperConversion()) -> SavingsSummary:
+def savings_report(report: "DeliveryReport", usage: CourseUsage) -> SavingsSummary:
     """Pages (and ream/tree equivalents) avoided by the deliveries made."""
     served = report.delivered_count
     pages = served * usage.pages_per_student_week * usage.weeks
-    return SavingsSummary(pages, pages_to_reams(pages, conv),
-                          pages_to_trees(pages, conv), served,
+    return SavingsSummary(pages, pages_to_reams(pages), pages_to_trees(pages), served,
                           usage.pages_per_student_week, usage.weeks)

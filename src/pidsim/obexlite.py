@@ -29,14 +29,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import PoweredOffError, ProtocolError, SimError
-from .simnet import (
-    LinkHandle,
-    RadioDevice,
-    RadioParams,
-    SimTime,
-    SimWorld,
-    transfer_duration,
-)
+from .simnet import LinkHandle, RadioDevice, SimTime, SimWorld, transfer_duration
 
 CONNECT = 0x80
 DISCONNECT = 0x81
@@ -239,7 +232,7 @@ def _capacities(name: str, max_packet: int) -> tuple[int, int]:
     first_cap = first_frame_capacity(name, max_packet)
     cont_cap = continuation_capacity(max_packet)
     if first_cap < 0 or cont_cap < 1:
-        raise ProtocolError("name too long for negotiated packet size")
+        raise ProtocolError("name too long for the packet size")
     return first_cap, cont_cap
 
 
@@ -288,10 +281,8 @@ def _response(opcode: int) -> ObexFrame:
 class ObexServer:
     """Receiving side: reassembles PUT sequences into the device inbox."""
 
-    def __init__(self, device: RadioDevice,
-                 max_packet: int = DEFAULT_MAX_PACKET) -> None:
+    def __init__(self, device: RadioDevice) -> None:
         self.device = device
-        self.max_packet = max_packet
         self._name: str | None = None
         self._chunks: list[bytes] = []
 
@@ -377,26 +368,22 @@ class TransferOutcome:
 class PushSession:
     """One client push session over an open piconet link.
 
+    Every frame fits ``DEFAULT_MAX_PACKET``, the packet size both ends use.
     States: idle -> connected -> transferring -> done|failed, with
     connected -> done for a disconnect without a transfer.  One transfer
     per session; the controller opens a fresh session per attempt.
     """
 
-    def __init__(self, world: SimWorld, link: LinkHandle,
-                 params: RadioParams | None = None,
-                 max_packet: int = DEFAULT_MAX_PACKET) -> None:
+    def __init__(self, world: SimWorld, link: LinkHandle) -> None:
         self.world = world
         self.link = link
-        self.params = params or world.params
-        self.max_packet = max_packet
-        self.negotiated: int | None = None
         self.state = "idle"
         self.server: ObexServer | None = None
 
     def _exchange(self, frame: ObexFrame) -> ObexFrame:
         raw = encode_frame(frame)
-        if len(raw) > (self.negotiated or self.max_packet):
-            raise ProtocolError("frame exceeds negotiated packet size")
+        if len(raw) > DEFAULT_MAX_PACKET:
+            raise ProtocolError("frame exceeds the packet size")
         decoded, rest = decode_frame(raw)
         assert not rest
         assert self.server is not None
@@ -409,10 +396,8 @@ class PushSession:
             self.state = "failed"
             raise SimError("link is closed")
         device = self.world.device(self.link.slave)
-        self.server = ObexServer(device, device.max_packet)
-        self.negotiated = min(self.max_packet, device.max_packet)
-        resp = self._exchange(ObexFrame(
-            CONNECT, (), ConnectInfo(max_packet=self.max_packet)))
+        self.server = ObexServer(device)
+        resp = self._exchange(ObexFrame(CONNECT, (), ConnectInfo()))
         if resp.opcode != SUCCESS:
             self.state = "failed"
             raise ProtocolError(f"connect rejected: {resp.opcode:#04x}")
@@ -439,8 +424,8 @@ class PushSession:
         if device.refuse_push:
             # Refusal comes back on the first frame: only the session
             # overhead is spent, and only that frame is built.
-            world.advance(started + self.params.session_overhead)
-            first_cap, _ = _capacities(name, self.negotiated or self.max_packet)
+            world.advance(started + world.params.session_overhead)
+            first_cap, _ = _capacities(name, DEFAULT_MAX_PACKET)
             resp = self._exchange(_opening_frame(name, payload, first_cap))
             assert resp.opcode == FORBIDDEN
             self.state = "failed"
@@ -448,7 +433,7 @@ class PushSession:
             return TransferOutcome("refused", name, len(payload), 1,
                                    started, world.now)
 
-        world.advance(started + transfer_duration(len(payload), self.params))
+        world.advance(started + transfer_duration(len(payload), world.params))
         lost = not (self.link.open and device.powered
                     and device.present_at(world.now))
         if not lost and device.drop_transfers > 0:
@@ -466,7 +451,7 @@ class PushSession:
                                    started, world.now)
 
         sent = 0
-        for frame in put_frames(name, payload, self.negotiated or self.max_packet):
+        for frame in put_frames(name, payload, DEFAULT_MAX_PACKET):
             resp = self._exchange(frame)
             sent += 1
             final = frame.opcode == PUT_FINAL

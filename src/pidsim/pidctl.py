@@ -85,7 +85,6 @@ class SessionState:
     each move a member out of ``pending`` exactly once, so the three buckets
     stay disjoint and cover the membership."""
 
-    members: frozenset[MacId]
     pending: set[MacId]
     delivered: dict[MacId, SimTime] = field(default_factory=dict)
     skipped: dict[MacId, str] = field(default_factory=dict)
@@ -198,8 +197,7 @@ def choose_push_target(ftp_map: dict[MacId, ServiceRecord], roster: Roster,
 
 
 def _attempt_push(world: SimWorld, local: MacId, target: MacId,
-                  file_name: str, payload: bytes,
-                  params: RadioParams) -> TransferOutcome | None:
+                  file_name: str, payload: bytes) -> TransferOutcome | None:
     """One connect/push/disconnect cycle; None when the link never opened."""
     try:
         link = world.connect(local, target)
@@ -207,7 +205,7 @@ def _attempt_push(world: SimWorld, local: MacId, target: MacId,
         world.emit("transfer_failed", mac=target, file=file_name,
                    reason="connect-failed")
         return None
-    session = PushSession(world, link, params)
+    session = PushSession(world, link)
     try:
         session.connect()
         return session.push_file(file_name, payload)
@@ -230,11 +228,13 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
         raise ValueError("file name must be non-empty")
     if inquiry_interval <= 0:
         raise ValueError("inquiry_interval must be positive")
-    params = params or world.params
+    # Kept only because perfbench/runner.py passes params=scenario.radio.
+    if params is not None and params != world.params:
+        raise ValueError("params must be None or world.params")
     local = MacId(local)
     world.device(local)  # fail fast on a missing client device
 
-    state = SessionState(members=roster.members, pending=set(roster.members))
+    state = SessionState(pending=set(roster.members))
     ftp_map: dict[MacId, ServiceRecord] = {}
     non_members: dict[MacId, SimTime] = {}
     iterations: list[IterationStats] = []
@@ -253,7 +253,7 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
         iter_started = world.now
         world.emit("iteration_started", index=index)
 
-        handle = start_inquiry(world, local, params)
+        handle = start_inquiry(world, local)
         world.advance(handle.completes_at)
 
         newly: list[MacId] = []
@@ -275,7 +275,7 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
 
         to_query = sorted(m for m in newly if m in state.pending)
         if to_query:
-            catalog = search_services(world, local, to_query, params)
+            catalog = search_services(world, local, to_query)
             answered = set(catalog.services) | set(catalog.empty)
             ftp_map.update(filter_ftp(catalog))
             for mac in to_query:
@@ -289,7 +289,7 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
         for mac, url in targets:
             assert url.mac == mac  # catalog construction guarantees it
             attempted += 1
-            outcome = _attempt_push(world, local, url.mac, file_name, payload, params)
+            outcome = _attempt_push(world, local, url.mac, file_name, payload)
             if outcome is not None and outcome.delivered:
                 state.mark_delivered(mac, world.now)
                 delivered_now += 1
@@ -364,12 +364,10 @@ class StepReport:
     abort_reason: str | None = None
 
 
-def run_stepped(world: SimWorld, config: StepConfig,
-                params: RadioParams | None = None) -> StepReport:
+def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
     """The eight-step console walkthrough: banner, power check, local
     identity, inquiry, device listing, service search, service listing,
     and one file push.  Interactive mode pauses between steps."""
-    params = params or world.params
     report = StepReport()
 
     def say(text: str) -> None:
@@ -406,7 +404,7 @@ def run_stepped(world: SimWorld, config: StepConfig,
 
     say("Step 4. Query for devices.")
     say("Starting device inquiry...")
-    handle = start_inquiry(world, local, params)
+    handle = start_inquiry(world, local)
     world.advance(handle.completes_at)
     report.discovered = [(mac, world.device(mac).friendly_name)
                          for mac, _ in handle.discovered]
@@ -420,8 +418,7 @@ def run_stepped(world: SimWorld, config: StepConfig,
 
     say("Step 6. Query the discovered devices for services offered.")
     say("Starting service inquiry...")
-    catalog = search_services(world, local, [m for m, _ in report.discovered],
-                              params)
+    catalog = search_services(world, local, [m for m, _ in report.discovered])
     report.catalog = catalog
     with_services = catalog.with_services()
     say(f"Service query complete; {len(with_services)} devices have services:")
@@ -462,7 +459,7 @@ def run_stepped(world: SimWorld, config: StepConfig,
     url = report.ftp_targets[target].connection_url
     say(f"Pushing {file_name!r} ({len(payload)} bytes) to "
         f"{world.device(target).friendly_name} via {url.render()}")
-    outcome = _attempt_push(world, local, target, file_name, payload, params)
+    outcome = _attempt_push(world, local, target, file_name, payload)
     report.outcome = outcome
     if outcome is not None and outcome.delivered:
         report.delivered_to = target

@@ -101,7 +101,7 @@ class Scenario:
                 powered=d.powered, discoverable=d.discoverable,
                 services=list(d.services), arrival=d.arrival,
                 departure=d.departure, refuse_push=d.refuse_push,
-                drop_transfers=d.drop_transfers, max_packet=d.max_packet))
+                drop_transfers=d.drop_transfers))
         return world
 
     def resolve_payload(self) -> tuple[str, bytes]:
@@ -146,13 +146,17 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
 
     devices = _parse_devices(_expect(data, "devices", list, "scenario"))
     local = _parse_mac(_expect(data, "local", str, "scenario"), "scenario.local")
-    if local not in {d.mac for d in devices}:
+    local_dev = next((d for d in devices if d.mac == local), None)
+    if local_dev is None:
         raise ScenarioError(f"scenario.local: {local} is not in the device list")
+    # A stepped walkthrough reports a powered-off client at step 1; a
+    # proactive run cannot start an inquiry from it at all.
+    if mode == "proactive" and not local_dev.powered:
+        raise ScenarioError(f"scenario.local: initiator {local} is powered off")
 
     roster = None
     if "roster" in data:
-        roster = _parse_roster(_expect(data, "roster", dict, "scenario"),
-                               {d.mac for d in devices})
+        roster = _parse_roster(_expect(data, "roster", dict, "scenario"))
     if mode == "proactive" and roster is None:
         raise ScenarioError("scenario.roster: required for proactive mode")
 
@@ -254,7 +258,7 @@ def _parse_services(items: list, mac: MacId, where: str) -> list[ServiceRecord]:
     return records
 
 
-def _parse_roster(obj: dict, device_macs: set[MacId]) -> Roster:
+def _parse_roster(obj: dict) -> Roster:
     where = "scenario.roster"
     _check_keys(obj, _ROSTER_KEYS, where)
     members = _expect(obj, "members", list, where)
@@ -296,7 +300,6 @@ def _parse_file(obj: dict) -> tuple[str, bytes | None, str | None]:
     name = _expect(obj, "name", str, where, default=default_name)
     if not name:
         raise ScenarioError(f"{where}.name: must be non-empty")
-    # Scenarios cannot set max_packet, so every push uses the default size.
     try:
         fits = first_frame_capacity(name, DEFAULT_MAX_PACKET) >= 0
     except ProtocolError as exc:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import MalformedUrlError, PoweredOffError, UnknownDeviceError
-from .simnet import MacId, RadioParams, SimWorld
+from .simnet import MacId, SimWorld
 
 # Case-insensitive fragment a service name must contain to count as the
 # file-transfer profile.
@@ -87,15 +87,14 @@ class ServiceCatalog:
         return sorted(self.services)
 
 
-def search_services(world: SimWorld, initiator: MacId, targets,
-                    params: RadioParams | None = None) -> ServiceCatalog:
+def search_services(world: SimWorld, initiator: MacId, targets) -> ServiceCatalog:
     """Query ``targets`` (a prior inquiry's discoveries) for their records.
 
     Targets are queried one at a time in MAC order, each consuming
     ``service_search_per_device`` of sim time; a target that is absent when
     its turn completes is reported under ``departed``.
     """
-    params = params or world.params
+    per_device = world.params.service_search_per_device
     initiator = MacId(initiator)
     ini = world.device(initiator)
     if not ini.powered:
@@ -107,9 +106,9 @@ def search_services(world: SimWorld, initiator: MacId, targets,
     for i, mac in enumerate(order):
         if mac not in world.devices:
             raise UnknownDeviceError(f"no device with MAC {mac}")
-        at = world.now + (i + 1) * params.service_search_per_device
+        at = world.now + (i + 1) * per_device
         world.schedule(at, lambda w, m=mac, c=catalog: _query_one(w, m, c))
-    world.advance(world.now + len(order) * params.service_search_per_device)
+    world.advance(world.now + len(order) * per_device)
     return catalog
 
 

@@ -97,7 +97,6 @@ class RadioDevice:
     departure: SimTime | None = None
     refuse_push: bool = False
     drop_transfers: int = 0  # scripted link loss: first N pushes to this device fail
-    max_packet: int = 1024
     inbox: dict[str, bytes] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -294,8 +293,7 @@ def transfer_duration(nbytes: int, params: RadioParams) -> SimTime:
     return params.session_overhead + -(-bits * 1000 // params.link_rate_bps)
 
 
-def start_inquiry(world: SimWorld, initiator: MacId,
-                  params: RadioParams | None = None) -> InquiryHandle:
+def start_inquiry(world: SimWorld, initiator: MacId) -> InquiryHandle:
     """Begin neighbor discovery from ``initiator``.
 
     Every other device gets one uniform response instant inside
@@ -307,12 +305,12 @@ def start_inquiry(world: SimWorld, initiator: MacId,
     checked when the response fires.  Advance the world past
     ``handle.completes_at`` to collect the result.
     """
-    params = params or world.params
+    duration = world.params.inquiry_duration
     initiator = MacId(initiator)
     dev = world.device(initiator)
     if not dev.powered:
         raise PoweredOffError(f"initiator {initiator} is powered off")
-    handle = InquiryHandle(initiator, world.now, world.now + params.inquiry_duration)
+    handle = InquiryHandle(initiator, world.now, world.now + duration)
     world.emit("inquiry_started", initiator=initiator)
     first = world.now + 1
     draw = world.rng.randrange
@@ -320,22 +318,20 @@ def start_inquiry(world: SimWorld, initiator: MacId,
     for mac in world.sorted_macs():
         if mac == initiator:
             continue
-        at = first + draw(params.inquiry_duration)
+        at = first + draw(duration)
         if devices[mac].present_at(at):
-            world.schedule(at, lambda w, m=mac, h=handle, p=params:
-                           _inquiry_response(w, h, m, p))
+            world.schedule(at, lambda w, m=mac, h=handle: _inquiry_response(w, h, m))
     world.schedule(handle.completes_at, lambda w, h=handle: _inquiry_complete(w, h))
     return handle
 
 
-def _inquiry_response(world: SimWorld, handle: InquiryHandle,
-                      mac: MacId, params: RadioParams) -> None:
+def _inquiry_response(world: SimWorld, handle: InquiryHandle, mac: MacId) -> None:
     dev = world.devices[mac]
     ini = world.devices[handle.initiator]
     if not (ini.powered and ini.present_at(world.now)):
         return
     # start_inquiry scheduled this response only if the device is present now.
-    if dev.powered and dev.discoverable and in_range(ini, dev, params):
+    if dev.powered and dev.discoverable and in_range(ini, dev, world.params):
         handle.discovered.append((mac, world.now))
         world.emit("device_discovered", mac=mac, name=dev.friendly_name)
 

@@ -93,7 +93,6 @@ def test_criterion_2_live_test_reproduction():
     roster = scenario.roster
     started = time.perf_counter()
     report = run_proactive(world, roster, scenario.resolve_payload(),
-                           params=scenario.radio,
                            inquiry_interval=scenario.inquiry_interval,
                            local=scenario.local)
     elapsed = time.perf_counter() - started
@@ -260,7 +259,6 @@ def _delivered_set(path: str, seed: int | None):
     else:
         report = run_proactive(world, scenario.roster,
                                scenario.resolve_payload(),
-                               params=scenario.radio,
                                inquiry_interval=scenario.inquiry_interval,
                                local=scenario.local)
         delivered = set(report.delivered_macs())
@@ -357,14 +355,12 @@ def test_criterion_8_late_policy():
 
     world = scenario.build_world(scenario.seed)
     report = run_proactive(world, scenario.roster, scenario.resolve_payload(),
-                           params=scenario.radio,
                            inquiry_interval=scenario.inquiry_interval,
                            local=scenario.local)
 
     no_cutoff = dataclasses.replace(scenario.roster, late_cutoff=None)
     world2 = scenario.build_world(scenario.seed)
     report2 = run_proactive(world2, no_cutoff, scenario.resolve_payload(),
-                            params=scenario.radio,
                             inquiry_interval=scenario.inquiry_interval,
                             local=scenario.local)
 

@@ -152,6 +152,8 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
         (lambda d: d.update(radio={"link_rate_bps": True}),
          "scenario.radio.link_rate_bps: "),
         (lambda d: d.update(file={"path": "nope.txt"}), "file-not-found: "),
+        (lambda d: d["devices"][0].update(powered=False),
+         "scenario.local: initiator 001122334455 is powered off"),
     ]
     for mutate, where in gaps:
         data = json.loads(open(shipped_fixture_path("late_arrival")).read())

@@ -12,6 +12,8 @@ and say why in CHANGES.md.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +21,7 @@ from pidsim.cli import execute_scenario
 from pidsim.scenario import shipped_fixture_names, shipped_fixture_path
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SEEDS = (0, 1, 42)
 SYNTHETIC = ("classroom200",)
 SCENARIOS = shipped_fixture_names() + list(SYNTHETIC)
@@ -46,6 +49,19 @@ def test_fixture_replays_to_frozen_bytes(fixture, seed):
     for kind, data in _render(fixture, seed).items():
         with open(_golden_path(fixture, seed, kind), "rb") as fh:
             assert data == fh.read(), f"{fixture} seed {seed}: {kind} differs"
+
+
+@pytest.mark.parametrize("hash_seed", ("0", "4242"))
+def test_output_does_not_depend_on_the_string_hash_seed(tmp_path, hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-m", "pidsim.cli", "run",
+                    _scenario_path("classroom200"), "--seed", "0",
+                    "--report", str(tmp_path)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    for kind, out in (("log", "log.txt"), ("report", "report.txt")):
+        got = (tmp_path / out).read_bytes()
+        with open(_golden_path("classroom200", 0, kind), "rb") as fh:
+            assert got == fh.read(), f"PYTHONHASHSEED={hash_seed}: {kind} differs"
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pidsim.metrics import (
+    PAGES_PER_TREE,
+    REAMS_PER_TREE,
     CourseUsage,
-    PaperConversion,
     campus_pages,
     pages_per_course,
     pages_to_reams,
@@ -50,9 +51,10 @@ def test_ream_tree_conversions():
 
 
 def test_conversion_constants_are_consistent():
-    conv = PaperConversion()
-    assert conv.pages_per_ream == Fraction(8300, 16)
-    assert conv.pages_per_ream * conv.reams_per_tree == conv.pages_per_tree
+    assert (PAGES_PER_TREE, REAMS_PER_TREE) == (8300, 16)
+    pages_per_ream = Fraction(PAGES_PER_TREE, REAMS_PER_TREE)
+    assert pages_to_reams(PAGES_PER_TREE) == REAMS_PER_TREE
+    assert pages_to_reams(pages_per_ream.numerator) == pages_per_ream.denominator
 
 
 def test_round_half_away_from_zero():
@@ -64,11 +66,10 @@ def test_round_half_away_from_zero():
 
 def test_reams_and_trees_round_consistently():
     # reams/16 rounds to within one tree of the direct conversion
-    conv = PaperConversion()
     for pages in range(0, 10_000_001, 12_345):
-        trees_direct = pages_to_trees(pages, conv)
+        trees_direct = pages_to_trees(pages)
         trees_via_reams = round_half_away_from_zero(
-            Fraction(pages_to_reams(pages, conv), conv.reams_per_tree))
+            Fraction(pages_to_reams(pages), REAMS_PER_TREE))
         assert abs(trees_direct - trees_via_reams) <= 1
 
 

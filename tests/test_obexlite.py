@@ -464,17 +464,6 @@ def test_push_file_empty_payload_one_frame():
     assert w.device(mac(1)).inbox["cpi.txt"] == b""
 
 
-def test_push_file_negotiates_min_packet():
-    w, link = _linked_world(max_packet=128)
-    session = PushSession(w, link, max_packet=1024)
-    session.connect()
-    assert session.negotiated == 128
-    payload = bytes(1000)
-    outcome = session.push_file("f.bin", payload)
-    assert outcome.delivered
-    assert outcome.frames_sent == expected_frame_count("f.bin", 1000, 128)
-
-
 def test_push_file_refused_no_inbox_entry():
     w, link = _linked_world(refuse_push=True)
     session = PushSession(w, link)

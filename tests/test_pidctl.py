@@ -66,7 +66,7 @@ def _ftp_map(*macs):
 
 def test_choose_push_target_orders_by_discovery_time_then_mac():
     roster = _roster([mac(1), mac(2), mac(3)])
-    state = SessionState(members=roster.members, pending=set(roster.members))
+    state = SessionState(pending=set(roster.members))
     state.first_seen = {mac(1): 3_000, mac(2): 2_000, mac(3): 2_000}
     targets = choose_push_target(_ftp_map(mac(1), mac(2), mac(3)), roster, state)
     assert [m for m, _ in targets] == [mac(2), mac(3), mac(1)]
@@ -74,7 +74,7 @@ def test_choose_push_target_orders_by_discovery_time_then_mac():
 
 def test_choose_push_target_excludes_delivered_and_non_members():
     roster = _roster([mac(1), mac(2)])
-    state = SessionState(members=roster.members, pending={mac(2)})
+    state = SessionState(pending={mac(2)})
     state.delivered[mac(1)] = 5_000
     state.first_seen = {mac(1): 100, mac(2): 200}
     ftp = _ftp_map(mac(1), mac(2), mac(9))  # mac(9) is not on the roster
@@ -84,7 +84,7 @@ def test_choose_push_target_excludes_delivered_and_non_members():
 
 def test_choose_push_target_returns_connection_urls():
     roster = _roster([mac(1)])
-    state = SessionState(members=roster.members, pending={mac(1)})
+    state = SessionState(pending={mac(1)})
     state.first_seen = {mac(1): 100}
     [(m, url)] = choose_push_target(_ftp_map(mac(1)), roster, state)
     assert url.mac == m
@@ -256,12 +256,23 @@ def test_run_proactive_leaves_only_open_links():
     scenario = load_scenario(shipped_fixture_path("late_arrival"))
     w = scenario.build_world(0)
     run_proactive(w, scenario.roster, scenario.resolve_payload(),
-                  params=scenario.radio,
                   inquiry_interval=scenario.inquiry_interval,
                   local=scenario.local)
     assert any(e.name == "link_connected" for e in w.log)
     assert all(link.open for link in w.links.values())
     assert w.links == {}  # every push closes its link
+
+
+def test_run_proactive_params_must_be_the_worlds():
+    w, roster = _classroom(n_members=1)
+    other = dataclasses.replace(w.params, range_m=w.params.range_m + 1)
+    with pytest.raises(ValueError, match="world.params"):
+        run_proactive(w, roster, FILE, params=other, local=LOCAL)
+    assert w.log == [] and w.now == 0
+
+    same = dataclasses.replace(w.params)  # equal values, another object
+    report = run_proactive(w, roster, FILE, params=same, local=LOCAL)
+    assert report.delivered_count == 1
 
 
 def test_run_proactive_late_arrival_without_cutoff_is_served():
@@ -375,7 +386,7 @@ def test_stepped_and_proactive_agree_on_static_world():
 
 
 def test_session_state_invariant_checks():
-    state = SessionState(members=frozenset({mac(1)}), pending={mac(1)})
+    state = SessionState(pending={mac(1)})
     state.mark_delivered(mac(1), 5)
     assert state.delivered == {mac(1): 5}
     assert state.pending == set() and state.skipped == {}
