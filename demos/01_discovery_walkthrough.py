@@ -47,14 +47,13 @@ def main():
     world.add_device(RadioDevice(mouse, "demo mouse", position=(1.0, 0.5)))
 
     print("\nStarting inquiry (the window lasts 16 simulated seconds)...")
-    handle = start_inquiry(world, LOCAL)
-    world.advance(handle.completes_at)
-    print(f"Discovered {len(handle.discovered)} devices:")
-    for mac, at in handle.discovered:
+    discovered = start_inquiry(world, LOCAL)
+    print(f"Discovered {len(discovered)} devices:")
+    for mac, at in discovered:
         print(f"  t={at:>6} ms  {world.device(mac).friendly_name}  ({mac})")
 
     print("\nQuerying each one for service records (2 s per device)...")
-    catalog = search_services(world, LOCAL, handle.discovered_macs())
+    catalog = search_services(world, LOCAL, [mac for mac, _ in discovered])
     for mac in catalog.with_services():
         print(f"  {world.device(mac).friendly_name}:")
         for rec in catalog.services[mac]:

@@ -60,7 +60,6 @@ from .sdp import (
     search_services,
 )
 from .simnet import (
-    InquiryHandle,
     LinkHandle,
     MacId,
     RadioDevice,

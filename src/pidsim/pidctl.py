@@ -253,11 +253,10 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
         iter_started = world.now
         world.emit("iteration_started", index=index)
 
-        handle = start_inquiry(world, local)
-        world.advance(handle.completes_at)
+        discovered = start_inquiry(world, local)
 
         newly: list[MacId] = []
-        for mac, seen_at in handle.discovered:
+        for mac, seen_at in discovered:
             if mac in state.first_seen or mac in non_members:
                 continue
             if verify_member(roster, mac):
@@ -303,7 +302,7 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
                                reason=RETRIES_EXHAUSTED)
 
         iterations.append(IterationStats(
-            index, iter_started, len(handle.discovered), len(newly),
+            index, iter_started, len(discovered), len(newly),
             len(to_query), len(targets), attempted, delivered_now))
         index += 1
         next_start = iter_started + inquiry_interval
@@ -404,10 +403,8 @@ def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
 
     say("Step 4. Query for devices.")
     say("Starting device inquiry...")
-    handle = start_inquiry(world, local)
-    world.advance(handle.completes_at)
     report.discovered = [(mac, world.device(mac).friendly_name)
-                         for mac, _ in handle.discovered]
+                         for mac, _ in start_inquiry(world, local)]
     say(f"Inquiry complete; {len(report.discovered)} devices discovered")
     pause()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import MalformedUrlError, PoweredOffError, UnknownDeviceError
+from .errors import MalformedUrlError, PoweredOffError
 from .simnet import MacId, SimWorld
 
 # Case-insensitive fragment a service name must contain to count as the
@@ -90,42 +90,35 @@ class ServiceCatalog:
 def search_services(world: SimWorld, initiator: MacId, targets) -> ServiceCatalog:
     """Query ``targets`` (a prior inquiry's discoveries) for their records.
 
-    Targets are queried one at a time in MAC order, each consuming
-    ``service_search_per_device`` of sim time; a target that is absent when
-    its turn completes is reported under ``departed``.
+    Every target is resolved before the clock moves, so an unknown MAC
+    fails the whole search at once.  Targets are then queried one at a
+    time in MAC order, each consuming ``service_search_per_device`` of sim
+    time; a target that is absent when its turn completes is reported
+    under ``departed``.
     """
     per_device = world.params.service_search_per_device
     initiator = MacId(initiator)
     ini = world.device(initiator)
     if not ini.powered:
         raise PoweredOffError(f"initiator {initiator} is powered off")
-    order = sorted(MacId(t) for t in targets)
+    devices = [world.device(mac) for mac in sorted(MacId(t) for t in targets)]
     catalog = ServiceCatalog()
-    if not order:
-        return catalog
-    for i, mac in enumerate(order):
-        if mac not in world.devices:
-            raise UnknownDeviceError(f"no device with MAC {mac}")
-        at = world.now + (i + 1) * per_device
-        world.schedule(at, lambda w, m=mac, c=catalog: _query_one(w, m, c))
-    world.advance(world.now + len(order) * per_device)
+    for dev in devices:
+        world.advance(world.now + per_device)
+        mac = dev.mac
+        if not dev.present_at(world.now) or not dev.powered:
+            catalog.departed.append(mac)
+            world.emit("service_search_completed", mac=mac, status="departed")
+            continue
+        records = sorted(dev.services, key=lambda r: r.service_id)
+        if records:
+            catalog.services[mac] = records
+            world.emit("services_discovered", mac=mac, count=len(records))
+        else:
+            catalog.empty.append(mac)
+        world.emit("service_search_completed", mac=mac, services=len(records),
+                   status="ok")
     return catalog
-
-
-def _query_one(world: SimWorld, mac: MacId, catalog: ServiceCatalog) -> None:
-    dev = world.devices.get(mac)
-    if dev is None or not dev.present_at(world.now) or not dev.powered:
-        catalog.departed.append(mac)
-        world.emit("service_search_completed", mac=mac, status="departed")
-        return
-    records = sorted(dev.services, key=lambda r: r.service_id)
-    if records:
-        catalog.services[mac] = records
-        world.emit("services_discovered", mac=mac, count=len(records))
-    else:
-        catalog.empty.append(mac)
-    world.emit("service_search_completed", mac=mac, services=len(records),
-               status="ok")
 
 
 def filter_ftp(catalog: ServiceCatalog) -> dict[MacId, ServiceRecord]:

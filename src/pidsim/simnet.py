@@ -6,6 +6,11 @@ milliseconds, every random draw comes from one seeded generator, and every
 observable action lands in an append-only log, so a given (scenario, seed)
 pair replays to the same log byte for byte.
 
+The event queue holds only the arrivals and departures ``add_device``
+schedules and the actions callers schedule.  Inquiry, service search and
+pushes are plain calls: each advances the clock through its own instants,
+firing queued events on the way, and returns with its result.
+
 Log line format (stable, used by golden tests)::
 
     t=<millis> seq=<n> ev=<event-name> key=value ...
@@ -83,7 +88,7 @@ class RadioDevice:
     discovery only while powered, discoverable, and present.  The presence
     window is fixed once the device is added to a world: ``add_device``
     schedules its arrival and departure events then, and inquiry decides
-    from it which responses to schedule at all.  ``powered``,
+    from it which answers to check at all.  ``powered``,
     ``discoverable`` and ``position`` may change at any time.
     """
 
@@ -125,20 +130,6 @@ class LogEvent:
         parts = [f"t={self.time}", f"seq={self.seq}", f"ev={self.name}"]
         parts.extend(f"{k}={v}" for k, v in self.fields)
         return " ".join(parts)
-
-
-@dataclass
-class InquiryHandle:
-    """Result carrier for one inquiry; filled in as the world advances."""
-
-    initiator: MacId
-    started_at: SimTime
-    completes_at: SimTime
-    discovered: list[tuple[MacId, SimTime]] = field(default_factory=list)
-    done: bool = False
-
-    def discovered_macs(self) -> list[MacId]:
-        return [mac for mac, _ in self.discovered]
 
 
 @dataclass
@@ -293,51 +284,45 @@ def transfer_duration(nbytes: int, params: RadioParams) -> SimTime:
     return params.session_overhead + -(-bits * 1000 // params.link_rate_bps)
 
 
-def start_inquiry(world: SimWorld, initiator: MacId) -> InquiryHandle:
-    """Begin neighbor discovery from ``initiator``.
+def start_inquiry(world: SimWorld, initiator: MacId) -> list[tuple[MacId, SimTime]]:
+    """Run one inquiry from ``initiator``; return its discoveries as
+    ``(mac, instant)`` pairs in (instant, MAC) order.
 
-    Every other device gets one uniform response instant inside
+    Every other device gets one uniform answer instant inside
     (now, now+inquiry_duration], drawn in MAC order from the world RNG.
-    A response event is scheduled only if the device is present at that
-    instant: its presence window is fixed once it is added, so a device
-    that has not arrived yet or has left costs one draw and no event.
-    Power, discoverability and range may still change mid-inquiry and are
-    checked when the response fires.  Advance the world past
-    ``handle.completes_at`` to collect the result.
+    Only a device present at its instant answers: its presence window is
+    fixed once it is added, so a device that has not arrived yet or has
+    left costs one draw and nothing more.  The world advances to each
+    answer instant in turn, so queued events fire on the way and power,
+    discoverability and range are checked as they stand at that instant.
+    The call returns with the clock at the end of the window.
     """
+    start = world.now
     duration = world.params.inquiry_duration
     initiator = MacId(initiator)
-    dev = world.device(initiator)
-    if not dev.powered:
+    ini = world.device(initiator)
+    if not ini.powered:
         raise PoweredOffError(f"initiator {initiator} is powered off")
-    handle = InquiryHandle(initiator, world.now, world.now + duration)
     world.emit("inquiry_started", initiator=initiator)
-    first = world.now + 1
     draw = world.rng.randrange
     devices = world.devices
+    answers = []
     for mac in world.sorted_macs():
         if mac == initiator:
             continue
-        at = first + draw(duration)
+        at = start + 1 + draw(duration)
         if devices[mac].present_at(at):
-            world.schedule(at, lambda w, m=mac, h=handle: _inquiry_response(w, h, m))
-    world.schedule(handle.completes_at, lambda w, h=handle: _inquiry_complete(w, h))
-    return handle
-
-
-def _inquiry_response(world: SimWorld, handle: InquiryHandle, mac: MacId) -> None:
-    dev = world.devices[mac]
-    ini = world.devices[handle.initiator]
-    if not (ini.powered and ini.present_at(world.now)):
-        return
-    # start_inquiry scheduled this response only if the device is present now.
-    if dev.powered and dev.discoverable and in_range(ini, dev, world.params):
-        handle.discovered.append((mac, world.now))
-        world.emit("device_discovered", mac=mac, name=dev.friendly_name)
-
-
-def _inquiry_complete(world: SimWorld, handle: InquiryHandle) -> None:
-    handle.done = True
-    macs = sorted(m for m, _ in handle.discovered)
-    world.emit("inquiry_completed", initiator=handle.initiator,
-               count=len(macs), macs=",".join(macs))
+            answers.append((at, mac))
+    answers.sort()
+    discovered = []
+    for at, mac in answers:
+        world.advance(at)
+        dev = devices[mac]
+        if ini.powered and ini.present_at(at) and dev.powered \
+                and dev.discoverable and in_range(ini, dev, world.params):
+            discovered.append((mac, at))
+            world.emit("device_discovered", mac=mac, name=dev.friendly_name)
+    world.advance(start + duration)
+    world.emit("inquiry_completed", initiator=initiator, count=len(discovered),
+               macs=",".join(sorted(mac for mac, _ in discovered)))
+    return discovered

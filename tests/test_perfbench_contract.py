@@ -4,6 +4,8 @@
 ``pidsim.cli.execute_scenario`` makes, and ``perfbench/tracer.py`` wraps
 pidsim's functions and methods by name.  A simplification that drops a name
 or keyword either of them uses fails here, not first in a benchmark run.
+One slot-0 job of each workload also replays to its recorded digests, so the
+large workloads are checked here and not only by a benchmark run.
 """
 
 import json
@@ -21,9 +23,12 @@ if PERFBENCH not in sys.path:
 
 import runner  # noqa: E402
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 with open(os.path.join(PERFBENCH, "digests.json"), encoding="utf-8") as _fh:
-    DIGESTS = json.load(_fh)["fixtures"]
+    _RECORDED = json.load(_fh)
+DIGESTS = _RECORDED["fixtures"]
+JOB_DIGESTS = _RECORDED["jobs"]
 
 PROACTIVE = [name for name in shipped_fixture_names()
              if load_scenario(shipped_fixture_path(name)).mode == "proactive"]
@@ -48,3 +53,14 @@ def test_runner_job_matches_recorded_digests(name, seed):
         t.uninstall()
     assert runner.check_job(result, expected, False) == []
     assert len(t.spans["start"]) > 0  # the wrappers were on the call path
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_job_matches_recorded_digests(workload, tmp_path):
+    """Slot 0's first job of each workload, crowd_churn's 4 000 arrivals and
+    departures included, replays to the bytes the benchmark recorded."""
+    seed = workloads.sim_seeds(workload, 0)[0]
+    path = workloads.write_slot(workload, 0, str(tmp_path))
+    expected = JOB_DIGESTS[f"{workload}/0/{seed}"]
+    flag = workloads.WORKLOADS[workload]["all_members_delivered"]
+    assert runner.check_job(runner.run_job(path, seed), expected, flag) == []

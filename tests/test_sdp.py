@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pidsim.errors import MalformedUrlError
+from pidsim.errors import MalformedUrlError, UnknownDeviceError
 from pidsim.sdp import (
     ConnectionUrl,
     ServiceCatalog,
@@ -96,9 +96,8 @@ def _office_world(seed=8):
 
 def test_search_services_counts_one_four_seven():
     w = _office_world()
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
-    catalog = search_services(w, LOCAL, h.discovered_macs())
+    found = [m for m, _ in start_inquiry(w, LOCAL)]
+    catalog = search_services(w, LOCAL, found)
     assert len(catalog.services) == 3
     assert sorted(len(v) for v in catalog.services.values()) == [1, 4, 7]
     assert sorted(catalog.empty) == [mac(1), mac(2)]
@@ -107,18 +106,16 @@ def test_search_services_counts_one_four_seven():
 
 def test_search_services_consumes_time_per_target():
     w = _office_world()
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
+    found = [m for m, _ in start_inquiry(w, LOCAL)]
     before = w.now
-    search_services(w, LOCAL, h.discovered_macs())
+    search_services(w, LOCAL, found)
     assert w.now == before + 5 * w.params.service_search_per_device
 
 
 def test_search_services_queries_in_mac_order():
     w = _office_world()
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
-    search_services(w, LOCAL, h.discovered_macs())
+    found = [m for m, _ in start_inquiry(w, LOCAL)]
+    search_services(w, LOCAL, found)
     done = [dict(e.fields)["mac"] for e in w.log
             if e.name == "service_search_completed"]
     assert done == sorted(done)
@@ -145,11 +142,19 @@ def test_search_services_departed_mid_search():
     assert mac(2) not in catalog.services
 
 
+def test_failed_search_leaves_nothing_queued():
+    w = _office_world()
+    with pytest.raises(UnknownDeviceError):
+        search_services(w, LOCAL, [mac(1), mac(99)])
+    assert w.now == 0
+    assert w._queue == []
+    assert w.advance(10 * w.params.service_search_per_device) == []
+
+
 def test_catalog_records_mac_matches_device_mac():
     w = _office_world()
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
-    catalog = search_services(w, LOCAL, h.discovered_macs())
+    found = [m for m, _ in start_inquiry(w, LOCAL)]
+    catalog = search_services(w, LOCAL, found)
     for m, records in catalog.services.items():
         assert all(r.connection_url.mac == m for r in records)
 
@@ -159,9 +164,8 @@ def test_catalog_records_mac_matches_device_mac():
 
 def test_filter_ftp_selects_only_the_laptop_record():
     w = _office_world()
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
-    catalog = search_services(w, LOCAL, h.discovered_macs())
+    found = [m for m, _ in start_inquiry(w, LOCAL)]
+    catalog = search_services(w, LOCAL, found)
     ftp = filter_ftp(catalog)
     assert list(ftp) == [mac(5)]
     assert ftp[mac(5)].service_id == 4

@@ -13,6 +13,7 @@ from pidsim.errors import (
     SimError,
     UnknownDeviceError,
 )
+from pidsim.sdp import search_services
 from pidsim.simnet import (
     MacId,
     RadioParams,
@@ -89,8 +90,7 @@ def test_equal_time_events_fire_in_insertion_order(world):
 def test_replay_same_seed_identical_logs():
     def run(seed):
         w = make_world(n_others=6, seed=seed)
-        h = start_inquiry(w, LOCAL)
-        w.advance(h.completes_at)
+        start_inquiry(w, LOCAL)
         return w.render_log()
 
     assert run(99) == run(99)
@@ -99,8 +99,7 @@ def test_replay_same_seed_identical_logs():
 
 def test_log_times_non_decreasing_and_seq_strict():
     w = make_world(n_others=8, seed=3)
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
+    start_inquiry(w, LOCAL)
     times = [e.time for e in w.log]
     assert times == sorted(times)
     assert [e.seq for e in w.log] == list(range(len(w.log)))
@@ -140,11 +139,9 @@ def test_in_range_boundary():
 
 def test_inquiry_discovers_all_five():
     w = make_world(n_others=5, seed=8)
-    h = start_inquiry(w, LOCAL)
-    assert not h.done
-    w.advance(h.completes_at)
-    assert h.done
-    assert sorted(h.discovered_macs()) == [mac(i) for i in range(1, 6)]
+    found = start_inquiry(w, LOCAL)
+    assert w.log[-1].name == "inquiry_completed"
+    assert sorted(m for m, _ in found) == [mac(i) for i in range(1, 6)]
     completed = [e for e in w.log if e.name == "inquiry_completed"]
     assert len(completed) == 1
     assert dict(completed[0].fields)["count"] == "5"
@@ -152,26 +149,24 @@ def test_inquiry_discovers_all_five():
 
 def test_inquiry_empty_world():
     w = make_world(n_others=0)
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
-    assert h.discovered == []
+    assert start_inquiry(w, LOCAL) == []
+    assert w.now == w.params.inquiry_duration
+    assert w.log[-1].name == "inquiry_completed"
 
 
 def test_inquiry_skips_powered_off():
     w = make_world(n_others=5, seed=8)
     w.device(mac(3)).powered = False
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
-    assert sorted(h.discovered_macs()) == [mac(1), mac(2), mac(4), mac(5)]
+    found = start_inquiry(w, LOCAL)
+    assert sorted(m for m, _ in found) == [mac(1), mac(2), mac(4), mac(5)]
 
 
 def test_inquiry_skips_undiscoverable_and_out_of_range():
     w = make_world(n_others=4, seed=8)
     w.device(mac(1)).discoverable = False
     w.device(mac(2)).position = (50.0, 0.0)
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
-    assert sorted(h.discovered_macs()) == [mac(3), mac(4)]
+    found = start_inquiry(w, LOCAL)
+    assert sorted(m for m, _ in found) == [mac(3), mac(4)]
 
 
 def test_inquiry_initiator_errors():
@@ -185,10 +180,13 @@ def test_inquiry_initiator_errors():
 
 def test_inquiry_response_times_inside_window():
     w = make_world(n_others=7, seed=5)
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
-    for _, t in h.discovered:
-        assert h.started_at < t <= h.completes_at
+    w.advance(500)
+    t0 = w.now
+    found = start_inquiry(w, LOCAL)
+    assert found
+    for _, t in found:
+        assert t0 < t <= t0 + w.params.inquiry_duration
+    assert w.now == t0 + w.params.inquiry_duration
 
 
 def test_discovery_matches_brute_force_recomputation():
@@ -212,8 +210,7 @@ def test_discovery_matches_brute_force_recomputation():
                                      arrival=arrival, departure=departure))
             spec[m] = (powered, discoverable, x, arrival, departure)
 
-        h = start_inquiry(w, LOCAL)
-        w.advance(h.completes_at)
+        found = start_inquiry(w, LOCAL)
 
         oracle_rng = random.Random(seed)  # same stream the world consumed
         expected = set()
@@ -224,13 +221,14 @@ def test_discovery_matches_brute_force_recomputation():
             present = arrival <= t and (departure is None or t < departure)
             if powered and discoverable and present and x <= params.range_m:
                 expected.add(m)
-        assert set(h.discovered_macs()) == expected, f"seed {seed}"
+        assert {m for m, _ in found} == expected, f"seed {seed}"
 
 
 def test_inquiry_schedules_only_devices_present_at_their_instant():
-    """One inquiry over N devices pushes one event per device present at its
-    drawn instant, plus the completion event, yet still draws once for every
-    other device in MAC order."""
+    """One inquiry over N devices adds no event to the queue, yet still draws
+    once for every other device in MAC order and answers only for devices
+    present at their drawn instant; a search over its discoveries adds no
+    event either."""
     seed, n = 3, 60
     params = RadioParams(inquiry_duration=1_000)
     layout = random.Random(77)
@@ -265,20 +263,66 @@ def test_inquiry_schedules_only_devices_present_at_their_instant():
     assert 0 < len(expected) < present < n - 1
 
     before = w._sched_seq
-    h = start_inquiry(w, LOCAL)
-    assert w._sched_seq - before == present + 1
+    found = start_inquiry(w, LOCAL)
+    assert w._sched_seq - before == 0
     assert w.rng.getstate() == oracle_rng.getstate()
-    w.advance(h.completes_at)
-    assert h.discovered == [(m, t) for t, m in sorted(expected)]
+    assert found == [(m, t) for t, m in sorted(expected)]
+
+    catalog = search_services(w, LOCAL, [m for m, _ in found])
+    assert len(catalog.empty) + len(catalog.departed) == len(found)
+    assert w._sched_seq - before == 0
 
 
 def test_inquiry_sees_a_device_added_after_an_earlier_inquiry():
     w = make_world(n_others=2, seed=4)
-    w.advance(start_inquiry(w, LOCAL).completes_at)
+    start_inquiry(w, LOCAL)
     w.add_device(make_device(mac(3), x=2.0))
-    h = start_inquiry(w, LOCAL)
-    w.advance(h.completes_at)
-    assert sorted(h.discovered_macs()) == [mac(1), mac(2), mac(3)]
+    found = start_inquiry(w, LOCAL)
+    assert sorted(m for m, _ in found) == [mac(1), mac(2), mac(3)]
+
+
+def _discoveries_to_window_end(w):
+    """Run one inquiry from LOCAL to the end of its window; return the
+    (mac, time) of each device_discovered line."""
+    end = w.now + w.params.inquiry_duration
+    start_inquiry(w, LOCAL)
+    w.advance(end)
+    assert w.log[-1].name == "inquiry_completed"
+    return [(dict(e.fields)["mac"], e.time) for e in w.log
+            if e.name == "device_discovered"]
+
+
+def test_inquiry_checks_state_at_each_answer_instant():
+    """Initiator presence, power and discoverability are read when each
+    answer arrives, not when the inquiry starts."""
+    seed, n = 6, 12
+    others = [mac(i) for i in range(1, n + 1)]
+    oracle_rng = random.Random(seed)  # answer instants of an inquiry from t=0
+    instants = {m: 1 + oracle_rng.randrange(RadioParams().inquiry_duration)
+                for m in others}
+
+    # The initiator leaves mid-window: only the answers before it count.
+    leaves_at = sorted(instants.values())[n // 2]
+    w = SimWorld(seed=seed)
+    w.add_device(make_device(LOCAL, x=0.0, y=0.0, departure=leaves_at))
+    for m in others:
+        w.add_device(make_device(m, x=2.0))
+    expected = sorted((t, m) for m, t in instants.items() if t < leaves_at)
+    assert 0 < len(expected) < n
+    assert _discoveries_to_window_end(w) == [(m, t) for t, m in expected]
+
+    # A power-off or discoverable=False scheduled for a device's answer
+    # instant drops that answer; a power-off 1 ms after it does not.
+    off, hidden, late_off = others[1], others[4], others[7]
+    w = make_world(n_others=n, seed=seed)
+    w.schedule(instants[off], lambda w: setattr(w.device(off), "powered", False))
+    w.schedule(instants[hidden],
+               lambda w: setattr(w.device(hidden), "discoverable", False))
+    w.schedule(instants[late_off] + 1,
+               lambda w: setattr(w.device(late_off), "powered", False))
+    expected = sorted((t, m) for m, t in instants.items() if m not in (off, hidden))
+    assert _discoveries_to_window_end(w) == [(m, t) for t, m in expected]
+    assert not w.device(late_off).powered
 
 
 # -- piconet links -----------------------------------------------------------
