@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Demo 2: the framed push protocol on the wire.
 
-Splits a payload into PUT frames, hex-dumps each one, feeds the bytes
-through the decoder and the receiving side, and shows the reassembled
-file landing in the device inbox.
+Splits a payload into PUT frames, hex-dumps each one, checks that the
+decoder reads the bytes back, sends the bytes to the receiving side,
+decodes its response bytes, and shows the reassembled file landing in
+the device inbox.
 """
 
 from pidsim import MacId, ObexServer, RadioDevice, decode_frame, encode_frame
@@ -35,7 +36,8 @@ def main():
             print("   ", raw[off:off + 24].hex(" "))
         decoded, rest = decode_frame(raw)
         assert decoded == frame and rest == b""
-        response = server.serve_push(decoded)
+        response, rest = decode_frame(server.serve_push(raw))
+        assert rest == b""
         print(f"    -> response {OPCODES[response.opcode]}")
 
     stored = device.inbox["notes.bin"]

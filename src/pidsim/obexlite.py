@@ -21,12 +21,21 @@ A push is a PUT sequence: the first frame carries Name + Length + a chunk,
 middle frames carry Body chunks, the final-bit frame carries EndOfBody.
 When the whole payload fits in one frame the sequence is a single
 PUT_FINAL carrying Name + Length + EndOfBody.
+
+``encode_frame``, ``decode_frame`` and ``ObexFrame`` are the normative codec.
+The session and the server exchange raw frames: ``ObexServer.serve_push``
+takes the bytes of one frame and returns the bytes of its response.  The
+session encodes the opening, CONNECT and DISCONNECT frames with
+``encode_frame``; ``wire_frames`` writes every continuation frame as a fixed
+6-byte prefix plus a view of the payload, the same bytes ``encode_frame``
+gives for ``put_frames``.  ``decode_frame`` and the server share one prefix
+check (``_frame_prefix``) and one header walker (``_headers``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import PoweredOffError, ProtocolError, SimError
 from .simnet import LinkHandle, RadioDevice, SimTime, SimWorld, transfer_duration
@@ -154,12 +163,16 @@ def encode_frame(frame: ObexFrame) -> bytes:
     return bytes([frame.opcode]) + total.to_bytes(2, "big") + bytes(body)
 
 
-def decode_frame(data: bytes) -> tuple[ObexFrame, bytes]:
-    """Decode one frame; returns (frame, remainder-after-the-frame)."""
+def _frame_prefix(data: bytes | memoryview,
+                  whole: bool = False) -> tuple[int, int, int]:
+    """Check a frame's prefix; return (opcode, declared length, header offset).
+
+    With ``whole``, ``data`` must hold exactly the one frame.
+    """
     if len(data) < FRAME_PREFIX:
         raise ProtocolError("truncated-frame: need at least 3 bytes")
     opcode = data[0]
-    total = int.from_bytes(data[1:3], "big")
+    total = data[1] << 8 | data[2]
     if opcode not in KNOWN_OPCODES:
         raise ProtocolError(f"unknown-opcode: {opcode:#04x}")
     if total < FRAME_PREFIX:
@@ -167,45 +180,63 @@ def decode_frame(data: bytes) -> tuple[ObexFrame, bytes]:
     if len(data) < total:
         raise ProtocolError(
             f"truncated-frame: declared {total} bytes, have {len(data)}")
-    pos = FRAME_PREFIX
-    connect = None
-    if opcode == CONNECT:
-        if total < FRAME_PREFIX + CONNECT_BLOCK_SIZE:
-            raise ProtocolError("length-mismatch: connect block missing")
-        connect = ConnectInfo(data[3], data[4], int.from_bytes(data[5:7], "big"))
-        pos = FRAME_PREFIX + CONNECT_BLOCK_SIZE
-    headers: list[ObexHeader] = []
+    if whole and len(data) > total:
+        raise ProtocolError(
+            f"length-mismatch: declared {total} bytes, have {len(data)}")
+    if opcode != CONNECT:
+        return opcode, total, FRAME_PREFIX
+    if total < FRAME_PREFIX + CONNECT_BLOCK_SIZE:
+        raise ProtocolError("length-mismatch: connect block missing")
+    return opcode, total, FRAME_PREFIX + CONNECT_BLOCK_SIZE
+
+
+_HEADER_TYPES = {HDR_NAME: Name, HDR_LENGTH: Length, HDR_BODY: Body,
+                 HDR_END_OF_BODY: EndOfBody, HDR_CONNECTION_ID: ConnectionId}
+
+
+def _headers(view: memoryview, pos: int,
+             total: int) -> Iterator[tuple[int, str | int | memoryview]]:
+    """Walk the headers in ``view[pos:total]``, yielding (header id, value).
+
+    A Name value is its ASCII text, a uint32 header its int, and a
+    Body/EndOfBody value a view of the frame, so no chunk is copied here.
+    """
     while pos < total:
-        hid = data[pos]
+        hid = view[pos]
         if hid in (HDR_NAME, HDR_BODY, HDR_END_OF_BODY):
             if pos + VALUE_HEADER_PREFIX > total:
                 raise ProtocolError("length-mismatch: header prefix overruns frame")
-            vlen = int.from_bytes(data[pos + 1:pos + 3], "big")
-            if pos + VALUE_HEADER_PREFIX + vlen > total:
+            start = pos + VALUE_HEADER_PREFIX
+            pos = start + (view[pos + 1] << 8 | view[pos + 2])
+            if pos > total:
                 raise ProtocolError("length-mismatch: header value overruns frame")
-            value = data[pos + 3:pos + 3 + vlen]
-            pos += VALUE_HEADER_PREFIX + vlen
-            if hid == HDR_NAME:
-                try:
-                    headers.append(Name(value.decode("ascii")))
-                except UnicodeDecodeError:
-                    raise ProtocolError("name is not ASCII") from None
-            elif hid == HDR_BODY:
-                headers.append(Body(bytes(value)))
-            else:
-                headers.append(EndOfBody(bytes(value)))
+            if hid != HDR_NAME:
+                yield hid, view[start:pos]
+                continue
+            try:
+                text = str(view[start:pos], "ascii")
+            except UnicodeDecodeError:
+                raise ProtocolError("name is not ASCII") from None
+            yield hid, text
         elif hid in (HDR_LENGTH, HDR_CONNECTION_ID):
             if pos + U32_HEADER_SIZE > total:
                 raise ProtocolError("length-mismatch: header value overruns frame")
-            value = int.from_bytes(data[pos + 1:pos + 5], "big")
+            yield hid, int.from_bytes(view[pos + 1:pos + U32_HEADER_SIZE], "big")
             pos += U32_HEADER_SIZE
-            if hid == HDR_LENGTH:
-                headers.append(Length(value))
-            else:
-                headers.append(ConnectionId(value))
         else:
             raise ProtocolError(f"unknown-header-id: {hid:#04x}")
-    return ObexFrame(opcode, tuple(headers), connect), data[total:]
+
+
+def decode_frame(data: bytes) -> tuple[ObexFrame, bytes]:
+    """Decode one frame; returns (frame, remainder-after-the-frame)."""
+    opcode, total, pos = _frame_prefix(data)
+    connect = None
+    if opcode == CONNECT:
+        connect = ConnectInfo(data[3], data[4], data[5] << 8 | data[6])
+    headers = tuple(
+        _HEADER_TYPES[hid](bytes(value) if isinstance(value, memoryview) else value)
+        for hid, value in _headers(memoryview(data), pos, total))
+    return ObexFrame(opcode, headers, connect), data[total:]
 
 
 # -- chunking ------------------------------------------------------------
@@ -245,21 +276,57 @@ def _opening_frame(name: str, payload: bytes, first_cap: int) -> ObexFrame:
                            Body(payload[:first_cap])))
 
 
+def _sequence(name: str, payload: bytes,
+              max_packet: int) -> tuple[ObexFrame, int, range]:
+    """(opening frame, continuation capacity, continuation chunk offsets).
+
+    The offsets are empty exactly when the opening frame is final.
+    """
+    first_cap, cont_cap = _capacities(name, max_packet)
+    return (_opening_frame(name, payload, first_cap), cont_cap,
+            range(first_cap, len(payload), cont_cap))
+
+
 def put_frames(name: str, payload: bytes, max_packet: int) -> list[ObexFrame]:
     """Split a named payload into the PUT frame sequence for ``max_packet``.
 
     Linear in ``len(payload)``: every chunk is sliced once at its own
     offset, so the bytes copied add up to the payload size.
     """
-    first_cap, cont_cap = _capacities(name, max_packet)
-    frames = [_opening_frame(name, payload, first_cap)]
-    if frames[0].opcode == PUT_FINAL:
-        return frames
-    starts = range(first_cap, len(payload), cont_cap)
+    opening, cont_cap, starts = _sequence(name, payload, max_packet)
+    frames = [opening]
     frames += [ObexFrame(PUT, (Body(payload[at:at + cont_cap]),))
                for at in starts[:-1]]
-    frames.append(ObexFrame(PUT_FINAL, (EndOfBody(payload[starts[-1]:]),)))
+    if starts:
+        frames.append(ObexFrame(PUT_FINAL, (EndOfBody(payload[starts[-1]:]),)))
     return frames
+
+
+def _chunk_prefix(opcode: int, hid: int, size: int) -> bytes:
+    """Frame prefix plus value-header prefix of a frame holding one chunk."""
+    total = FRAME_PREFIX + VALUE_HEADER_PREFIX + size
+    return bytes([opcode]) + total.to_bytes(2, "big") \
+        + bytes([hid]) + size.to_bytes(2, "big")
+
+
+def wire_frames(name: str, payload: bytes, max_packet: int) -> Iterator[bytes]:
+    """The bytes of ``encode_frame(f) for f in put_frames(...)``, lazily.
+
+    Only the opening frame goes through ``encode_frame``.  Each continuation
+    frame is a fixed 6-byte prefix plus a view of the payload, so the
+    payload itself is sliced only for the opening frame.
+    """
+    opening, cont_cap, starts = _sequence(name, payload, max_packet)
+    yield encode_frame(opening)
+    if not starts:
+        return
+    view = memoryview(payload)
+    body = _chunk_prefix(PUT, HDR_BODY, cont_cap)
+    for at in starts[:-1]:
+        yield body + view[at:at + cont_cap]
+    last = starts[-1]
+    yield _chunk_prefix(PUT_FINAL, HDR_END_OF_BODY, len(payload) - last) \
+        + view[last:]
 
 
 def expected_frame_count(name: str, payload_len: int, max_packet: int) -> int:
@@ -274,8 +341,8 @@ def expected_frame_count(name: str, payload_len: int, max_packet: int) -> int:
 # -- server side ------------------------------------------------------------
 
 
-def _response(opcode: int) -> ObexFrame:
-    return ObexFrame(opcode)
+_RESPONSES = {opcode: encode_frame(ObexFrame(opcode))
+              for opcode in (CONTINUE, SUCCESS, BAD_REQUEST, FORBIDDEN)}
 
 
 class ObexServer:
@@ -284,64 +351,69 @@ class ObexServer:
     def __init__(self, device: RadioDevice) -> None:
         self.device = device
         self._name: str | None = None
-        self._chunks: list[bytes] = []
+        self._chunks: list[memoryview] = []
 
     def _reset(self) -> None:
         self._name = None
         self._chunks = []
 
-    def serve_push(self, frame: ObexFrame) -> ObexFrame:
-        """Handle one client frame and return the response frame.
+    def serve_push(self, raw: bytes) -> bytes:
+        """Handle the bytes of one client frame; return the response's bytes.
 
-        Continue for non-final PUT, Success after the final one (at which
+        ``raw`` must hold exactly one frame; a malformed one raises the
+        ``ProtocolError`` that ``decode_frame`` raises for it.  The response
+        is Continue for non-final PUT, Success after the final one (at which
         point the reassembled payload lands in the device inbox), Forbidden
         when the device refuses pushes, BadRequest on a malformed sequence.
         """
+        view = memoryview(raw)
+        opcode, total, pos = _frame_prefix(view, whole=True)
+        return _RESPONSES[self._serve(opcode, list(_headers(view, pos, total)))]
+
+    def _serve(self, opcode: int, headers: list) -> int:
+        """The response opcode for one parsed client frame."""
         if not self.device.powered:
             raise PoweredOffError(f"{self.device.mac} is powered off")
-        if frame.opcode == CONNECT:
+        if opcode in (CONNECT, DISCONNECT):
             self._reset()
-            return _response(SUCCESS)
-        if frame.opcode == DISCONNECT:
-            self._reset()
-            return _response(SUCCESS)
-        if frame.opcode not in (PUT, PUT_FINAL):
-            return _response(BAD_REQUEST)
+            return SUCCESS
+        if opcode not in (PUT, PUT_FINAL):
+            return BAD_REQUEST
         if self.device.refuse_push:
             self._reset()
-            return _response(FORBIDDEN)
+            return FORBIDDEN
 
-        final = frame.opcode == PUT_FINAL
+        final = opcode == PUT_FINAL
         end_seen = False
-        for header in frame.headers:
-            if isinstance(header, Name):
-                if self._name is not None or end_seen or not header.text:
+        for hid, value in headers:
+            if hid == HDR_NAME:
+                if self._name is not None or end_seen or not value:
                     self._reset()
-                    return _response(BAD_REQUEST)
-                self._name = header.text
-            elif isinstance(header, Body):
+                    return BAD_REQUEST
+                self._name = value
+            elif hid == HDR_BODY:
                 if self._name is None or end_seen:
                     self._reset()
-                    return _response(BAD_REQUEST)
-                self._chunks.append(header.data)
-            elif isinstance(header, EndOfBody):
+                    return BAD_REQUEST
+                self._chunks.append(value)
+            elif hid == HDR_END_OF_BODY:
                 if self._name is None or end_seen or not final:
                     self._reset()
-                    return _response(BAD_REQUEST)
-                self._chunks.append(header.data)
+                    return BAD_REQUEST
+                self._chunks.append(value)
                 end_seen = True
             # Length and ConnectionId are advisory metadata.
         if final:
             if self._name is None or not end_seen:
                 self._reset()
-                return _response(BAD_REQUEST)
+                return BAD_REQUEST
             self.device.inbox[self._name] = b"".join(self._chunks)
             self._reset()
-            return _response(SUCCESS)
+            return SUCCESS
         if self._name is None:
             self._reset()
-            return _response(BAD_REQUEST)
-        return _response(CONTINUE)
+            return BAD_REQUEST
+        return CONTINUE
 
 
 # -- client side -------------------------------------------------------------
@@ -380,14 +452,12 @@ class PushSession:
         self.state = "idle"
         self.server: ObexServer | None = None
 
-    def _exchange(self, frame: ObexFrame) -> ObexFrame:
-        raw = encode_frame(frame)
+    def _exchange(self, raw: bytes) -> int:
+        """Send one frame's bytes; return the response's opcode."""
         if len(raw) > DEFAULT_MAX_PACKET:
             raise ProtocolError("frame exceeds the packet size")
-        decoded, rest = decode_frame(raw)
-        assert not rest
         assert self.server is not None
-        return self.server.serve_push(decoded)
+        return _frame_prefix(self.server.serve_push(raw), whole=True)[0]
 
     def connect(self) -> None:
         if self.state != "idle":
@@ -397,10 +467,10 @@ class PushSession:
             raise SimError("link is closed")
         device = self.world.device(self.link.slave)
         self.server = ObexServer(device)
-        resp = self._exchange(ObexFrame(CONNECT, (), ConnectInfo()))
-        if resp.opcode != SUCCESS:
+        resp = self._exchange(encode_frame(ObexFrame(CONNECT, (), ConnectInfo())))
+        if resp != SUCCESS:
             self.state = "failed"
-            raise ProtocolError(f"connect rejected: {resp.opcode:#04x}")
+            raise ProtocolError(f"connect rejected: {resp:#04x}")
         self.state = "connected"
 
     def push_file(self, name: str, payload: bytes) -> TransferOutcome:
@@ -425,9 +495,9 @@ class PushSession:
             # Refusal comes back on the first frame: only the session
             # overhead is spent, and only that frame is built.
             world.advance(started + world.params.session_overhead)
-            first_cap, _ = _capacities(name, DEFAULT_MAX_PACKET)
-            resp = self._exchange(_opening_frame(name, payload, first_cap))
-            assert resp.opcode == FORBIDDEN
+            resp = self._exchange(
+                next(wire_frames(name, payload, DEFAULT_MAX_PACKET)))
+            assert resp == FORBIDDEN
             self.state = "failed"
             world.emit("transfer_failed", mac=slave, file=name, reason="refused")
             return TransferOutcome("refused", name, len(payload), 1,
@@ -451,15 +521,14 @@ class PushSession:
                                    started, world.now)
 
         sent = 0
-        for frame in put_frames(name, payload, DEFAULT_MAX_PACKET):
-            resp = self._exchange(frame)
+        for raw in wire_frames(name, payload, DEFAULT_MAX_PACKET):
+            resp = self._exchange(raw)
             sent += 1
-            final = frame.opcode == PUT_FINAL
-            expected = SUCCESS if final else CONTINUE
-            if resp.opcode != expected:
+            expected = SUCCESS if raw[0] == PUT_FINAL else CONTINUE
+            if resp != expected:
                 self.state = "failed"
                 world.emit("transfer_failed", mac=slave, file=name,
-                           reason=f"response_{resp.opcode:#04x}")
+                           reason=f"response_{resp:#04x}")
                 return TransferOutcome("link-lost", name, len(payload), sent,
                                        started, world.now)
         self.state = "done"
@@ -470,7 +539,7 @@ class PushSession:
 
     def disconnect(self) -> None:
         if self.state in ("connected", "done") and self.link.open:
-            self._exchange(ObexFrame(DISCONNECT))
+            self._exchange(encode_frame(ObexFrame(DISCONNECT)))
         if self.state == "connected":
             self.state = "done"
         if self.link.open:

@@ -188,7 +188,7 @@ def test_criterion_4_codec_properties():
     for size in range(0, 4 * max_packet + 1):
         payload = data_rng.randbytes(size)
         frames = put_frames("blob.bin", payload, max_packet)
-        codes = [server.serve_push(decode_frame(encode_frame(f))[0]).opcode
+        codes = [decode_frame(server.serve_push(encode_frame(f)))[0].opcode
                  for f in frames]
         if codes[:-1] != [CONTINUE] * (len(frames) - 1) or codes[-1] != SUCCESS:
             reassembly_ok = False

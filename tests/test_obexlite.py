@@ -12,6 +12,7 @@ from pidsim.obexlite import (
     BAD_REQUEST,
     CONNECT,
     CONTINUE,
+    DEFAULT_MAX_PACKET,
     DISCONNECT,
     FORBIDDEN,
     PUT,
@@ -32,6 +33,7 @@ from pidsim.obexlite import (
     expected_frame_count,
     first_frame_capacity,
     put_frames,
+    wire_frames,
 )
 from .conftest import LOCAL, ftp_record, make_device, make_world, mac
 from .reference_obex import reference_decode
@@ -188,6 +190,53 @@ def test_decode_rejects_header_overrun():
         decode_frame(raw)
 
 
+# Every malformed frame above, plus the cases only raw bytes can hold.
+MALFORMED = [
+    ("empty", b"", "truncated-frame"),
+    ("one-byte", b"\x90", "truncated-frame"),
+    ("two-bytes", b"\x90\x00", "truncated-frame"),
+    ("truncated", encode_frame(ObexFrame(PUT, (Body(b"abcdef"),)))[:-1],
+     "truncated-frame"),
+    ("unknown-opcode", bytes([0x55, 0x00, 0x03]), "unknown-opcode"),
+    ("unknown-header-id", bytes([PUT, 0x00, 0x04, 0x7F]), "unknown-header-id"),
+    ("below-minimum", bytes([PUT, 0x00, 0x02]) + b"xx", "length-mismatch"),
+    ("header-value-overrun", bytes([PUT, 0x00, 0x08, 0x48, 0x00, 0x05]) + b"ab",
+     "length-mismatch"),
+    ("header-prefix-overrun", bytes([PUT, 0x00, 0x05, 0x48, 0x00]),
+     "length-mismatch"),
+    ("u32-overrun", bytes([PUT, 0x00, 0x06, 0xC3, 0x00, 0x00]),
+     "length-mismatch"),
+    ("connect-block-missing", bytes([CONNECT, 0x00, 0x03]), "length-mismatch"),
+    ("non-ascii-name", bytes([PUT, 0x00, 0x08, 0x01, 0x00, 0x02]) + "é".encode(),
+     "name is not ASCII"),
+]
+
+
+@pytest.mark.parametrize("raw,match", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_serve_push_rejects_malformed_frames_like_decode_frame(raw, match):
+    with pytest.raises(ProtocolError, match=match) as decoded:
+        decode_frame(raw)
+    # The server is mid-sequence: a rejected frame must leave it untouched.
+    server = _server()
+    opening, final = put_frames("f.bin", bytes(100), 96)
+    assert _respond(server, opening).opcode == CONTINUE
+    with pytest.raises(ProtocolError, match=match) as served:
+        server.serve_push(raw)
+    assert str(served.value) == str(decoded.value)
+    assert _respond(server, final).opcode == SUCCESS
+    assert server.device.inbox == {"f.bin": bytes(100)}
+
+
+def test_serve_push_rejects_bytes_after_the_declared_frame():
+    raw = encode_frame(ObexFrame(PUT_FINAL, (Name("f"), EndOfBody(b"x")))) + b"\x00"
+    assert decode_frame(raw)[1] == b"\x00"
+    server = _server()
+    with pytest.raises(ProtocolError, match="length-mismatch"):
+        server.serve_push(raw)
+    assert server.device.inbox == {}
+
+
 def test_encode_rejects_unknown_opcode():
     with pytest.raises(ProtocolError, match="unknown-opcode"):
         encode_frame(ObexFrame(0x11))
@@ -259,6 +308,13 @@ def test_frame_count_formula_brute_force():
             assert expected == expected_frame_count(name, size, max_packet)
 
 
+def _respond(server: ObexServer, frame: ObexFrame) -> ObexFrame:
+    """Send one frame's bytes to ``server``; decode the response's bytes."""
+    response, rest = decode_frame(server.serve_push(encode_frame(frame)))
+    assert rest == b""
+    return response
+
+
 def test_reassembly_equals_original_across_sizes():
     """Body/EndOfBody chunks concatenate back to the payload for every size
     in 0..4*max_packet (server-side reassembly, compact packet)."""
@@ -268,7 +324,7 @@ def test_reassembly_equals_original_across_sizes():
     server = ObexServer(device)
     for size in range(0, 4 * max_packet + 1):
         payload = rng.randbytes(size)
-        responses = [server.serve_push(f)
+        responses = [_respond(server, f)
                      for f in put_frames("blob.bin", payload, max_packet)]
         assert all(r.opcode == CONTINUE for r in responses[:-1])
         assert responses[-1].opcode == SUCCESS
@@ -340,6 +396,33 @@ def test_put_frames_slices_each_payload_byte_once():
     assert payload.tally[0] <= len(payload)
 
 
+@st.composite
+def pushes(draw):
+    """(name, payload, max_packet): up to ~5 packets, chunk edges included."""
+    name = draw(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
+                        min_size=1, max_size=30))
+    # from the smallest packet whose opening frame holds the name
+    max_packet = draw(st.integers(-first_frame_capacity(name, 0), 1024))
+    first_cap = first_frame_capacity(name, max_packet)
+    cont_cap = continuation_capacity(max_packet)
+    edge = first_cap + draw(st.integers(0, 4)) * cont_cap
+    size = draw(st.one_of(st.integers(0, 5 * max_packet),
+                          st.sampled_from([max(edge - 1, 0), edge, edge + 1])))
+    payload = random.Random(draw(st.integers(0, 2**32))).randbytes(size)
+    return name, payload, max_packet
+
+
+@given(pushes())
+def test_wire_frames_are_the_codec_bytes_and_reassemble(push):
+    name, payload, max_packet = push
+    wire = list(wire_frames(name, payload, max_packet))
+    assert wire == [encode_frame(f) for f in put_frames(name, payload, max_packet)]
+    server = _server()
+    codes = [decode_frame(server.serve_push(raw))[0].opcode for raw in wire]
+    assert codes == [CONTINUE] * (len(wire) - 1) + [SUCCESS]
+    assert server.device.inbox == {name: payload}
+
+
 def test_multi_megabyte_chunks_join_to_payload():
     payload = random.Random(8).randbytes(3 << 20)
     frames_out = put_frames("big.bin", payload, 1024)
@@ -363,7 +446,7 @@ def test_serve_push_three_frame_sequence():
     payload = bytes(range(200))
     seq = put_frames("f.bin", payload, 96)
     assert len(seq) >= 3
-    codes = [server.serve_push(f).opcode for f in seq]
+    codes = [_respond(server, f).opcode for f in seq]
     assert codes[:-1] == [CONTINUE] * (len(seq) - 1)
     assert codes[-1] == SUCCESS
     assert server.device.inbox["f.bin"] == payload
@@ -371,60 +454,60 @@ def test_serve_push_three_frame_sequence():
 
 def test_serve_push_end_of_body_without_name_is_bad_request():
     server = _server()
-    resp = server.serve_push(ObexFrame(PUT_FINAL, (EndOfBody(b"x"),)))
+    resp = _respond(server, ObexFrame(PUT_FINAL, (EndOfBody(b"x"),)))
     assert resp.opcode == BAD_REQUEST
     assert server.device.inbox == {}
 
 
 def test_serve_push_body_before_name_is_bad_request():
     server = _server()
-    resp = server.serve_push(ObexFrame(PUT, (Body(b"x"),)))
+    resp = _respond(server, ObexFrame(PUT, (Body(b"x"),)))
     assert resp.opcode == BAD_REQUEST
 
 
 def test_serve_push_empty_name_is_bad_request():
     server = _server()
-    resp = server.serve_push(ObexFrame(PUT_FINAL, (Name(""), EndOfBody(b""))))
+    resp = _respond(server, ObexFrame(PUT_FINAL, (Name(""), EndOfBody(b""))))
     assert resp.opcode == BAD_REQUEST
 
 
 def test_serve_push_end_of_body_must_be_final():
     server = _server()
-    resp = server.serve_push(ObexFrame(PUT, (Name("f"), EndOfBody(b"x"))))
+    resp = _respond(server, ObexFrame(PUT, (Name("f"), EndOfBody(b"x"))))
     assert resp.opcode == BAD_REQUEST
 
 
 def test_serve_push_final_without_end_of_body_is_bad_request():
     server = _server()
-    assert server.serve_push(ObexFrame(PUT, (Name("f"), Body(b"a")))).opcode == CONTINUE
-    resp = server.serve_push(ObexFrame(PUT_FINAL, (Body(b"b"),)))
+    assert _respond(server, ObexFrame(PUT, (Name("f"), Body(b"a")))).opcode == CONTINUE
+    resp = _respond(server, ObexFrame(PUT_FINAL, (Body(b"b"),)))
     assert resp.opcode == BAD_REQUEST
 
 
 def test_serve_push_refusing_device_forbidden_on_first_frame():
     server = _server(refuse_push=True)
     first = put_frames("f.bin", b"data", 1024)[0]
-    assert server.serve_push(first).opcode == FORBIDDEN
+    assert _respond(server, first).opcode == FORBIDDEN
     assert server.device.inbox == {}
 
 
 def test_serve_push_requires_power():
     server = _server(powered=False)
     with pytest.raises(PoweredOffError):
-        server.serve_push(ObexFrame(CONNECT, (), ConnectInfo()))
+        _respond(server, ObexFrame(CONNECT, (), ConnectInfo()))
 
 
 def test_serve_push_aborted_sequence_leaves_no_inbox_entry():
     server = _server()
     seq = put_frames("f.bin", bytes(300), 96)
-    server.serve_push(seq[0])
+    _respond(server, seq[0])
     assert server.device.inbox == {}
     # a Name mid-sequence is malformed; the server rejects and resets
     first_retry = put_frames("g.bin", b"ok", 96)[0]
-    assert server.serve_push(first_retry).opcode == BAD_REQUEST
+    assert _respond(server, first_retry).opcode == BAD_REQUEST
     assert server.device.inbox == {}
     # after the reset a complete fresh sequence goes through
-    done = [server.serve_push(f) for f in put_frames("g.bin", b"ok", 96)]
+    done = [_respond(server, f) for f in put_frames("g.bin", b"ok", 96)]
     assert done[-1].opcode == SUCCESS
     assert server.device.inbox == {"g.bin": b"ok"}
 
@@ -493,6 +576,17 @@ def test_refused_push_builds_and_encodes_only_the_opening_frame(monkeypatch):
     assert outcome.status == "refused" and outcome.frames_sent == 1
     assert [f.opcode for f in encoded] == [PUT]
     assert payload.tally[0] == first_frame_capacity("cpi.txt", 1024)
+
+
+def test_push_file_slices_the_payload_only_for_the_opening_frame():
+    w, link = _linked_world()
+    session = PushSession(w, link)
+    session.connect()
+    payload = SliceCounter(random.Random(9).randbytes(100 << 10))
+    outcome = session.push_file("cpi.txt", payload)
+    assert outcome.delivered
+    assert w.device(mac(1)).inbox["cpi.txt"] == payload
+    assert payload.tally[0] <= first_frame_capacity("cpi.txt", DEFAULT_MAX_PACKET)
 
 
 def test_push_file_link_lost_when_target_departs_mid_transfer():
