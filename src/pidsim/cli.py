@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--log", metavar="FILE", default=None,
                        help="write the event log to FILE (one scenario only)")
     run_p.add_argument("--jobs", type=int, default=1,
-                       help="run multiple scenarios in parallel processes")
+                       help="run up to N scenarios in parallel processes")
 
     val_p = sub.add_parser("validate", help="parse and validate a scenario file")
     val_p.add_argument("scenario")
@@ -193,6 +193,8 @@ def _run_isolated(arg: str, **kwargs) -> tuple[str, str | None]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
     if args.step:
         if len(args.scenarios) != 1:
             raise ScenarioError("--step runs exactly one scenario")
@@ -205,8 +207,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                             "use --report DIR for several")
     job = partial(_run_isolated, seed_flag=args.seed, report_dir=args.report,
                   log_file=args.log, subdir=subdir)
-    if args.jobs > 1 and subdir:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at once: never more than the scenarios.
+    workers = min(args.jobs, len(args.scenarios))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, args.scenarios))
     else:
         results = map(job, args.scenarios)

@@ -23,13 +23,16 @@ When the whole payload fits in one frame the sequence is a single
 PUT_FINAL carrying Name + Length + EndOfBody.
 
 ``encode_frame``, ``decode_frame`` and ``ObexFrame`` are the normative codec.
+A push attempt is one call, ``PushSession.push_file``: CONNECT, the PUT
+sequence, DISCONNECT after a delivery, and the link closed on every path.
 The session and the server exchange raw frames: ``ObexServer.serve_push``
 takes the bytes of one frame and returns the bytes of its response.  The
-session encodes the opening, CONNECT and DISCONNECT frames with
-``encode_frame``; ``wire_frames`` writes every continuation frame as a fixed
-6-byte prefix plus a view of the payload, the same bytes ``encode_frame``
-gives for ``put_frames``.  ``decode_frame`` and the server share one prefix
-check (``_frame_prefix``) and one header walker (``_headers``).
+CONNECT and DISCONNECT frames are module constants; the session encodes
+only the opening frame with ``encode_frame``, and ``wire_frames`` writes
+every continuation frame as a fixed 6-byte prefix plus a view of the
+payload, the same bytes ``encode_frame`` gives for ``put_frames``.
+``decode_frame`` and the server share one prefix check (``_frame_prefix``)
+and one header walker (``_headers``).
 """
 
 from __future__ import annotations
@@ -329,20 +332,13 @@ def wire_frames(name: str, payload: bytes, max_packet: int) -> Iterator[bytes]:
         + view[last:]
 
 
-def expected_frame_count(name: str, payload_len: int, max_packet: int) -> int:
-    """Closed form for len(put_frames(...)); the brute-force tests check it."""
-    first_cap = first_frame_capacity(name, max_packet)
-    cont_cap = continuation_capacity(max_packet)
-    if payload_len <= first_cap:
-        return 1
-    return 1 + -(-(payload_len - first_cap) // cont_cap)
-
-
 # -- server side ------------------------------------------------------------
 
 
 _RESPONSES = {opcode: encode_frame(ObexFrame(opcode))
               for opcode in (CONTINUE, SUCCESS, BAD_REQUEST, FORBIDDEN)}
+_CONNECT_FRAME = encode_frame(ObexFrame(CONNECT, (), ConnectInfo()))
+_DISCONNECT_FRAME = encode_frame(ObexFrame(DISCONNECT))
 
 
 class ObexServer:
@@ -421,7 +417,7 @@ class ObexServer:
 
 @dataclass(frozen=True)
 class TransferOutcome:
-    status: str  # delivered | refused | link-lost
+    status: str  # delivered | refused | link-lost | connect-failed
     file_name: str
     payload_bytes: int
     frames_sent: int
@@ -438,56 +434,52 @@ class TransferOutcome:
 
 
 class PushSession:
-    """One client push session over an open piconet link.
+    """One client push over an open piconet link.
 
+    ``push_file`` runs the whole OBEX session: CONNECT, the PUT sequence,
+    DISCONNECT after a delivery, and the link is closed on every path.
     Every frame fits ``DEFAULT_MAX_PACKET``, the packet size both ends use.
-    States: idle -> connected -> transferring -> done|failed, with
-    connected -> done for a disconnect without a transfer.  One transfer
-    per session; the controller opens a fresh session per attempt.
+    The controller opens a fresh link and session per attempt.
     """
 
     def __init__(self, world: SimWorld, link: LinkHandle) -> None:
         self.world = world
         self.link = link
-        self.state = "idle"
-        self.server: ObexServer | None = None
+        self.server = ObexServer(world.device(link.slave))
 
     def _exchange(self, raw: bytes) -> int:
         """Send one frame's bytes; return the response's opcode."""
         if len(raw) > DEFAULT_MAX_PACKET:
             raise ProtocolError("frame exceeds the packet size")
-        assert self.server is not None
         return _frame_prefix(self.server.serve_push(raw), whole=True)[0]
 
-    def connect(self) -> None:
-        if self.state != "idle":
-            raise SimError(f"connect from state {self.state}")
-        if not self.link.open:
-            self.state = "failed"
-            raise SimError("link is closed")
-        device = self.world.device(self.link.slave)
-        self.server = ObexServer(device)
-        resp = self._exchange(encode_frame(ObexFrame(CONNECT, (), ConnectInfo())))
-        if resp != SUCCESS:
-            self.state = "failed"
-            raise ProtocolError(f"connect rejected: {resp:#04x}")
-        self.state = "connected"
-
     def push_file(self, name: str, payload: bytes) -> TransferOutcome:
-        """Send one named payload; advances sim time by the transfer duration.
+        """Send one named payload and close the link; advances sim time by
+        the transfer duration.
 
         Departures processed inside that window close the link and fail the
         transfer; nothing reaches the inbox unless the final frame is
         acknowledged with Success.
         """
-        if self.state != "connected":
-            raise SimError(f"push from state {self.state}")
-        if not name:
-            raise ValueError("file name must be non-empty")
-        self.state = "transferring"
+        try:
+            if not self.link.open:
+                raise SimError("link is closed")
+            if not name:
+                raise ValueError("file name must be non-empty")
+            self._exchange(_CONNECT_FRAME)
+            outcome = self._put(name, payload)
+            if outcome.delivered:
+                self._exchange(_DISCONNECT_FRAME)
+            return outcome
+        finally:
+            if self.link.open:
+                self.world.disconnect(self.link)
+
+    def _put(self, name: str, payload: bytes) -> TransferOutcome:
+        """The PUT sequence of ``push_file``, on a connected session."""
         world = self.world
         slave = self.link.slave
-        device = world.device(slave)
+        device = self.server.device
         started = world.now
         world.emit("transfer_started", mac=slave, file=name, bytes=len(payload))
 
@@ -498,7 +490,6 @@ class PushSession:
             resp = self._exchange(
                 next(wire_frames(name, payload, DEFAULT_MAX_PACKET)))
             assert resp == FORBIDDEN
-            self.state = "failed"
             world.emit("transfer_failed", mac=slave, file=name, reason="refused")
             return TransferOutcome("refused", name, len(payload), 1,
                                    started, world.now)
@@ -515,7 +506,6 @@ class PushSession:
             world.disconnect(self.link, reason="link-lost")
             lost = True
         if lost:
-            self.state = "failed"
             world.emit("transfer_failed", mac=slave, file=name, reason="link-lost")
             return TransferOutcome("link-lost", name, len(payload), 0,
                                    started, world.now)
@@ -526,21 +516,11 @@ class PushSession:
             sent += 1
             expected = SUCCESS if raw[0] == PUT_FINAL else CONTINUE
             if resp != expected:
-                self.state = "failed"
                 world.emit("transfer_failed", mac=slave, file=name,
                            reason=f"response_{resp:#04x}")
                 return TransferOutcome("link-lost", name, len(payload), sent,
                                        started, world.now)
-        self.state = "done"
         world.emit("transfer_completed", mac=slave, file=name,
                    bytes=len(payload), frames=sent)
         return TransferOutcome("delivered", name, len(payload), sent,
                                started, world.now)
-
-    def disconnect(self) -> None:
-        if self.state in ("connected", "done") and self.link.open:
-            self._exchange(encode_frame(ObexFrame(DISCONNECT)))
-        if self.state == "connected":
-            self.state = "done"
-        if self.link.open:
-            self.world.disconnect(self.link)

@@ -197,20 +197,17 @@ def choose_push_target(ftp_map: dict[MacId, ServiceRecord], roster: Roster,
 
 
 def _attempt_push(world: SimWorld, local: MacId, target: MacId,
-                  file_name: str, payload: bytes) -> TransferOutcome | None:
-    """One connect/push/disconnect cycle; None when the link never opened."""
+                  file_name: str, payload: bytes) -> TransferOutcome:
+    """Open a link and push over it; status connect-failed when the link
+    never opened."""
     try:
         link = world.connect(local, target)
     except (OutOfRangeError, PoweredOffError, PiconetFullError):
         world.emit("transfer_failed", mac=target, file=file_name,
                    reason="connect-failed")
-        return None
-    session = PushSession(world, link)
-    try:
-        session.connect()
-        return session.push_file(file_name, payload)
-    finally:
-        session.disconnect()
+        return TransferOutcome("connect-failed", file_name, len(payload), 0,
+                               world.now, world.now)
+    return PushSession(world, link).push_file(file_name, payload)
 
 
 def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
@@ -289,10 +286,10 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
             assert url.mac == mac  # catalog construction guarantees it
             attempted += 1
             outcome = _attempt_push(world, local, url.mac, file_name, payload)
-            if outcome is not None and outcome.delivered:
+            if outcome.delivered:
                 state.mark_delivered(mac, world.now)
                 delivered_now += 1
-            elif outcome is not None and outcome.status == "refused":
+            elif outcome.status == "refused":
                 state.mark_skipped(mac, REFUSED)
             else:
                 state.attempts[mac] = state.attempts.get(mac, 0) + 1
@@ -458,14 +455,13 @@ def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
         f"{world.device(target).friendly_name} via {url.render()}")
     outcome = _attempt_push(world, local, target, file_name, payload)
     report.outcome = outcome
-    if outcome is not None and outcome.delivered:
+    if outcome.delivered:
         report.delivered_to = target
         say(f"Transfer complete: {outcome.frames_sent} frames, "
             f"{outcome.duration} ms")
     else:
         report.aborted = True
-        report.abort_reason = (outcome.status if outcome is not None
-                               else "connect-failed")
+        report.abort_reason = outcome.status
         say(f"Transfer failed: {report.abort_reason}")
     return report
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .errors import ProtocolError, ScenarioError
@@ -93,15 +93,12 @@ class Scenario:
     usage: CourseUsage | None
 
     def build_world(self, seed: int) -> SimWorld:
+        """A fresh world; each device copies its template, with its own
+        services list and an empty inbox."""
         world = SimWorld(seed=seed, params=self.radio,
                          loss_probability=self.loss_probability)
         for d in self.devices:
-            world.add_device(RadioDevice(
-                mac=d.mac, friendly_name=d.friendly_name, position=d.position,
-                powered=d.powered, discoverable=d.discoverable,
-                services=list(d.services), arrival=d.arrival,
-                departure=d.departure, refuse_push=d.refuse_push,
-                drop_transfers=d.drop_transfers))
+            world.add_device(replace(d, services=list(d.services), inbox={}))
         return world
 
     def resolve_payload(self) -> tuple[str, bytes]:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from pidsim import cli
 from pidsim.cli import main
 from pidsim.scenario import shipped_fixture_path
 
@@ -110,6 +111,51 @@ def test_run_multiple_scenarios_with_jobs(capsys, tmp_path):
     assert (report_dir / "live_test" / "report.txt").exists()
     # outputs arrive in input order regardless of parallelism
     assert out.index("fig6_classroom") < out.index("live_test")
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, workers", [("2", [2]), ("3", [2]),
+                                           ("100000", [2]), ("1", [])])
+def test_jobs_never_asks_for_more_workers_than_scenarios(capsys, monkeypatch,
+                                                         jobs, workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    solo = [_strip_banner(run_cli(capsys, "run", name)[1])
+            for name in ("fig6_classroom", "live_test")]
+    code, out, err = run_cli(capsys, "run", "fig6_classroom", "live_test",
+                             "--jobs", jobs)
+    assert code == 0, err
+    assert _InProcessPool.sizes == workers
+    assert _strip_banner(out) == "".join(solo)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_one_error_line(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    code, out, err = run_cli(capsys, "run", "fig6_classroom", "live_test",
+                             "--jobs", jobs)
+    assert code == 1
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert _strip_banner(out) == ""
+    assert _InProcessPool.sizes == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

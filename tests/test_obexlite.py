@@ -30,7 +30,6 @@ from pidsim.obexlite import (
     continuation_capacity,
     decode_frame,
     encode_frame,
-    expected_frame_count,
     first_frame_capacity,
     put_frames,
     wire_frames,
@@ -290,22 +289,23 @@ def test_every_put_frame_fits_max_packet():
                 assert len(encode_frame(frame)) <= max_packet
 
 
+def _frame_count(name: str, size: int, max_packet: int) -> int:
+    """Frames in the PUT sequence of ``size`` bytes: an independent ceiling."""
+    first_cap = first_frame_capacity(name, max_packet)
+    if size <= first_cap:
+        return 1
+    cont_cap = continuation_capacity(max_packet)
+    return 1 + (size - first_cap + cont_cap - 1) // cont_cap
+
+
 def test_frame_count_formula_brute_force():
     """Sweep every payload size across four packets' worth of boundaries."""
     name = "notes.txt"
     for max_packet in (96, 255, 1024):
-        first_cap = first_frame_capacity(name, max_packet)
-        cont_cap = continuation_capacity(max_packet)
         for size in range(0, 4 * max_packet + 1):
             frames_out = put_frames(name, bytes(size), max_packet)
-            # independent ceiling computation
-            if size <= first_cap:
-                expected = 1
-            else:
-                rest = size - first_cap
-                expected = 1 + (rest + cont_cap - 1) // cont_cap
-            assert len(frames_out) == expected, (max_packet, size)
-            assert expected == expected_frame_count(name, size, max_packet)
+            assert len(frames_out) == _frame_count(name, size, max_packet), \
+                (max_packet, size)
 
 
 def _respond(server: ObexServer, frame: ObexFrame) -> ObexFrame:
@@ -392,7 +392,7 @@ def test_put_frames_identical_to_reslicing_chunker():
 def test_put_frames_slices_each_payload_byte_once():
     payload = SliceCounter(bytes(8 << 20))
     frames_out = put_frames("big.bin", payload, 1024)
-    assert len(frames_out) == expected_frame_count("big.bin", len(payload), 1024)
+    assert len(frames_out) == _frame_count("big.bin", len(payload), 1024)
     assert payload.tally[0] <= len(payload)
 
 
@@ -426,7 +426,7 @@ def test_wire_frames_are_the_codec_bytes_and_reassemble(push):
 def test_multi_megabyte_chunks_join_to_payload():
     payload = random.Random(8).randbytes(3 << 20)
     frames_out = put_frames("big.bin", payload, 1024)
-    assert len(frames_out) == expected_frame_count("big.bin", len(payload), 1024)
+    assert len(frames_out) == _frame_count("big.bin", len(payload), 1024)
     assert [f.opcode for f in frames_out] \
         == [PUT] * (len(frames_out) - 1) + [PUT_FINAL]
     chunks = [h.data for f in frames_out for h in f.headers
@@ -523,46 +523,57 @@ def _linked_world(**target_kwargs):
     return w, link
 
 
-def test_push_file_stores_payload_verbatim():
+def _recording_exchange(monkeypatch):
+    """Record the opcode of every frame a session sends."""
+    sent = []
+
+    def exchange(self, raw, _exchange=PushSession._exchange):
+        sent.append(raw[0])
+        return _exchange(self, raw)
+
+    monkeypatch.setattr(PushSession, "_exchange", exchange)
+    return sent
+
+
+def test_push_file_stores_payload_verbatim(monkeypatch):
     w, link = _linked_world()
-    session = PushSession(w, link)
-    session.connect()
+    sent = _recording_exchange(monkeypatch)
     payload = b"A" * 5000
-    outcome = session.push_file("cpi.txt", payload)
-    session.disconnect()
+    outcome = PushSession(w, link).push_file("cpi.txt", payload)
     assert outcome.delivered
     assert w.device(mac(1)).inbox["cpi.txt"] == payload
-    assert outcome.frames_sent == expected_frame_count("cpi.txt", 5000, 1024)
+    assert outcome.frames_sent == len(put_frames("cpi.txt", payload, 1024))
     assert outcome.duration == 100 + -(-5000 * 8 * 1000 // 3_000_000)
-    assert session.state == "done"
+    # one call is the whole session: CONNECT, the PUT sequence, DISCONNECT
+    assert sent == [CONNECT] + [PUT] * (outcome.frames_sent - 1) \
+        + [PUT_FINAL, DISCONNECT]
     assert not link.open
 
 
 def test_push_file_empty_payload_one_frame():
     w, link = _linked_world()
-    session = PushSession(w, link)
-    session.connect()
-    outcome = session.push_file("cpi.txt", b"")
+    outcome = PushSession(w, link).push_file("cpi.txt", b"")
     assert outcome.delivered and outcome.frames_sent == 1
     assert w.device(mac(1)).inbox["cpi.txt"] == b""
+    assert not link.open
 
 
-def test_push_file_refused_no_inbox_entry():
+def test_push_file_refused_no_inbox_entry(monkeypatch):
     w, link = _linked_world(refuse_push=True)
-    session = PushSession(w, link)
-    session.connect()
-    outcome = session.push_file("cpi.txt", b"data")
+    sent = _recording_exchange(monkeypatch)
+    outcome = PushSession(w, link).push_file("cpi.txt", b"data")
     assert outcome.status == "refused"
-    assert session.state == "failed"
     assert w.device(mac(1)).inbox == {}
     # refusal comes back on the first frame: only session overhead elapsed
     assert outcome.duration == w.params.session_overhead
+    # a failed push sends no DISCONNECT, but the link is closed
+    assert sent == [CONNECT, PUT_FINAL]
+    assert not link.open
 
 
 def test_refused_push_builds_and_encodes_only_the_opening_frame(monkeypatch):
     w, link = _linked_world(refuse_push=True)
     session = PushSession(w, link)
-    session.connect()
     encoded = []
 
     def recording_encode(frame, _encode=obexlite.encode_frame):
@@ -571,7 +582,7 @@ def test_refused_push_builds_and_encodes_only_the_opening_frame(monkeypatch):
 
     monkeypatch.setattr(obexlite, "encode_frame", recording_encode)
     payload = SliceCounter(bytes(64 << 10))
-    assert expected_frame_count("cpi.txt", len(payload), 1024) > 1
+    assert _frame_count("cpi.txt", len(payload), 1024) > 1
     outcome = session.push_file("cpi.txt", payload)
     assert outcome.status == "refused" and outcome.frames_sent == 1
     assert [f.opcode for f in encoded] == [PUT]
@@ -581,7 +592,6 @@ def test_refused_push_builds_and_encodes_only_the_opening_frame(monkeypatch):
 def test_push_file_slices_the_payload_only_for_the_opening_frame():
     w, link = _linked_world()
     session = PushSession(w, link)
-    session.connect()
     payload = SliceCounter(random.Random(9).randbytes(100 << 10))
     outcome = session.push_file("cpi.txt", payload)
     assert outcome.delivered
@@ -589,43 +599,34 @@ def test_push_file_slices_the_payload_only_for_the_opening_frame():
     assert payload.tally[0] <= first_frame_capacity("cpi.txt", DEFAULT_MAX_PACKET)
 
 
-def test_push_file_link_lost_when_target_departs_mid_transfer():
+def test_push_file_link_lost_when_target_departs_mid_transfer(monkeypatch):
     w = make_world(n_others=0, seed=3)
     w.add_device(make_device(mac(1), "target", 2.0, 0.0, departure=150,
                              services=[ftp_record(mac(1))]))
     link = w.connect(LOCAL, mac(1))
-    session = PushSession(w, link)
-    session.connect()
+    sent = _recording_exchange(monkeypatch)
     # 375 kB takes 1100 ms > the 150 ms the device sticks around
-    outcome = session.push_file("big.bin", bytes(375_000))
+    outcome = PushSession(w, link).push_file("big.bin", bytes(375_000))
     assert outcome.status == "link-lost"
-    assert session.state == "failed"
+    assert outcome.frames_sent == 0 and sent == [CONNECT]
     assert w.device(mac(1)).inbox == {}
     assert not link.open
 
 
 def test_push_file_scripted_drop_consumes_one_failure():
     w, link = _linked_world(drop_transfers=1)
-    session = PushSession(w, link)
-    session.connect()
-    outcome = session.push_file("f.bin", b"abc")
+    outcome = PushSession(w, link).push_file("f.bin", b"abc")
     assert outcome.status == "link-lost"
     assert w.device(mac(1)).inbox == {}
+    assert not link.open
     # the drop budget is spent: a fresh session succeeds
     link2 = w.connect(LOCAL, mac(1))
-    session2 = PushSession(w, link2)
-    session2.connect()
-    assert session2.push_file("f.bin", b"abc").delivered
+    assert PushSession(w, link2).push_file("f.bin", b"abc").delivered
 
 
-def test_session_state_transitions():
+def test_push_file_closes_the_link_when_it_raises():
     w, link = _linked_world()
-    session = PushSession(w, link)
-    assert session.state == "idle"
-    with pytest.raises(Exception):
-        session.push_file("f", b"")  # must connect first
-    session.connect()
-    assert session.state == "connected"
-    session.disconnect()  # connected -> done without a transfer
-    assert session.state == "done"
+    with pytest.raises(ValueError, match="non-empty"):
+        PushSession(w, link).push_file("", b"abc")
     assert not link.open
+    assert w.device(mac(1)).inbox == {}

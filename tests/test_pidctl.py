@@ -9,6 +9,7 @@ from pidsim.pidctl import (
     LATE,
     NEVER_DISCOVERED,
     NO_FTP_SERVICE,
+    PENDING,
     REFUSED,
     RETRIES_EXHAUSTED,
     Roster,
@@ -394,3 +395,73 @@ def test_session_state_invariant_checks():
         state.mark_delivered(mac(1), 6)  # delivered exactly once
     with pytest.raises(KeyError):
         state.mark_skipped(mac(1), "late")  # no longer pending
+
+
+# -- a link that never opens ---------------------------------------------------
+
+
+def _lines_with(world, text):
+    return [line for line in world.render_log().splitlines() if text in line]
+
+
+def _first_push(world):
+    """(time, target) of the first transfer_started event in the log."""
+    event = next(e for e in world.log if e.name == "transfer_started")
+    return event.time, dict(event.fields)["mac"]
+
+
+def _ftp_pair(departures=(), seed=5):
+    """The local client plus members mac(1) and mac(2), both with FTP;
+    ``departures`` maps a member to its departure time."""
+    w = make_world(n_others=0, seed=seed)
+    for i in (1, 2):
+        w.add_device(make_device(mac(i), f"student-{i:02d}", 1.0 + 0.3 * i, 0.0,
+                                 services=[ftp_record(mac(i))],
+                                 departure=dict(departures).get(mac(i))))
+    return w
+
+
+def test_run_proactive_member_gone_before_its_connect_stays_pending():
+    """B is discovered and queried, then departs while A's long push runs:
+    B's link never opens, which costs one attempt and leaves B pending."""
+    payload = ("big.bin", bytes(375_000))  # ~1.1 s on air
+    roster = _roster([mac(1), mac(2)], course_start=0, window_before=0,
+                     window_after=20_000)
+    w = _ftp_pair()
+    run_proactive(w, roster, payload, local=LOCAL)
+    started, first = _first_push(w)
+    second = mac(2) if first == mac(1) else mac(1)
+
+    w = _ftp_pair({second: started + 1})
+    report = run_proactive(w, roster, payload, local=LOCAL)
+    assert report.outcomes[first].outcome == DELIVERED
+    assert report.outcomes[second].outcome == PENDING
+    assert report.outcomes[second].attempts == 1
+    assert len(report.iterations) == 1
+    assert _lines_with(w, f"transfer_failed file=big.bin mac={second} "
+                          "reason=connect-failed")
+    assert f"member mac={second} outcome=pending attempts=1" \
+        in report.render_lines()
+    assert w.device(second).inbox == {}
+
+
+def test_run_stepped_target_gone_before_its_connect():
+    """The target answers the service search first, then departs while a
+    later device is queried: step 8 reports the link that never opened."""
+    config = StepConfig(local=LOCAL, target=mac(1), payload=b"hello")
+    w = _ftp_pair()
+    run_stepped(w, config)
+    queried = next(e.time for e in w.log if e.name == "service_search_completed"
+                   and dict(e.fields)["mac"] == mac(1))
+
+    w = _ftp_pair({mac(1): queried + 1})
+    report = run_stepped(w, config)
+    assert mac(1) in report.ftp_targets
+    assert report.aborted and report.delivered_to is None
+    assert report.abort_reason == "connect-failed"
+    assert report.outcome.status == "connect-failed"
+    assert report.outcome.frames_sent == 0 and report.outcome.duration == 0
+    assert report.lines[-1] == "Transfer failed: connect-failed"
+    assert _lines_with(w, f"transfer_failed file=cpi.txt mac={mac(1)} "
+                          "reason=connect-failed")
+    assert w.device(mac(1)).inbox == {}

@@ -1,5 +1,6 @@
 """Scenario files: strict schema, fixtures, validation diagnostics."""
 
+import dataclasses
 import json
 
 import pytest
@@ -13,6 +14,9 @@ from pidsim.scenario import (
     shipped_fixture_names,
     shipped_fixture_path,
 )
+from pidsim.simnet import MacId, RadioDevice
+
+from .conftest import ftp_record
 
 
 def _minimal(**overrides):
@@ -179,6 +183,31 @@ def test_file_payload_sources(tmp_path):
     sc = parse_scenario(data, base_dir=str(tmp_path))
     with pytest.raises(ScenarioError, match="file-not-found"):
         sc.resolve_payload()
+
+
+def test_build_world_copies_every_device_field():
+    """A new ``RadioDevice`` field reaches the built world without touching
+    ``build_world``; only the mutable services list and inbox are fresh."""
+    template = RadioDevice(
+        mac="0019E3A20001", friendly_name="phone", position=(3.0, 4.0),
+        powered=False, discoverable=False,
+        services=[ftp_record(MacId("0019E3A20001"))], arrival=5,
+        departure=9, refuse_push=True, drop_transfers=2,
+        inbox={"old.txt": b"x"})
+    for f in dataclasses.fields(RadioDevice):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(template, f.name) != f.default, f.name
+        elif f.default_factory is not dataclasses.MISSING:
+            assert getattr(template, f.name) != f.default_factory(), f.name
+    sc = dataclasses.replace(load_scenario(shipped_fixture_path("fig6_classroom")),
+                             devices=[template])
+    built = sc.build_world(1).device(template.mac)
+    assert built is not template
+    for f in dataclasses.fields(RadioDevice):
+        if f.name != "inbox":
+            assert getattr(built, f.name) == getattr(template, f.name), f.name
+    assert built.services is not template.services
+    assert built.inbox == {} and template.inbox == {"old.txt": b"x"}
 
 
 def test_build_world_is_fresh_each_time():
