@@ -166,9 +166,11 @@ def _run_one(path: str, seed_flag: int | None, report_dir: str | None,
              log_file: str | None, subdir: bool) -> str:
     artifacts = execute_scenario(path, seed_flag)
     out = artifacts.report_text()
+    # Rendering is the log's main cost: do it once for both files.
+    log = artifacts.log_text() if log_file or report_dir else ""
     if log_file:
         with open(log_file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(artifacts.log_text())
+            fh.write(log)
     if report_dir:
         target = report_dir
         if subdir:
@@ -177,7 +179,7 @@ def _run_one(path: str, seed_flag: int | None, report_dir: str | None,
         os.makedirs(target, exist_ok=True)
         with open(os.path.join(target, "log.txt"), "w", encoding="utf-8",
                   newline="\n") as fh:
-            fh.write(artifacts.log_text())
+            fh.write(log)
         with open(os.path.join(target, "report.txt"), "w", encoding="utf-8",
                   newline="\n") as fh:
             fh.write(out)

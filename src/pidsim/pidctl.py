@@ -191,7 +191,7 @@ def choose_push_target(ftp_map: dict[MacId, ServiceRecord], roster: Roster,
     """Pending roster members with a file-transfer record, in the order
     they were first discovered (ties by MAC); delivery walks this list."""
     eligible = [mac for mac in ftp_map
-                if verify_member(roster, mac) and mac in state.pending]
+                if mac in roster.members and mac in state.pending]
     eligible.sort(key=lambda m: (state.first_seen.get(m, 0), m))
     return [(mac, ftp_map[mac].connection_url) for mac in eligible]
 
@@ -256,7 +256,7 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
         for mac, seen_at in discovered:
             if mac in state.first_seen or mac in non_members:
                 continue
-            if verify_member(roster, mac):
+            if mac in roster.members:  # a world's MACs are canonical
                 state.first_seen[mac] = seen_at
                 newly.append(mac)
             else:

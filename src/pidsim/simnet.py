@@ -6,6 +6,13 @@ milliseconds, every random draw comes from one seeded generator, and every
 observable action lands in an append-only log, so a given (scenario, seed)
 pair replays to the same log byte for byte.
 
+``emit`` stores each event raw: its time, its name and the keyword fields
+as passed, unsorted and unstringified.  ``render_log`` renders every line
+once, and ``world.log`` builds a ``LogEvent`` only for the line asked for.
+Deferring the rendering is safe only because every field value is
+immutable (``str``, ``int``, ``bool``); a mutable value changed after
+``emit`` would change its line.
+
 The event queue holds only the arrivals and departures ``add_device``
 schedules and the actions callers schedule.  Inquiry, service search and
 pushes are plain calls: each advances the clock through its own instants,
@@ -22,8 +29,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -46,21 +55,20 @@ MAX_SLAVES = 7
 _MAC_PATTERN = re.compile(r"[0-9A-F]{12}")
 
 
-class MacId(str):
+def MacId(value: str) -> str:
     """48-bit device address as exactly 12 uppercase hex digits.
 
-    Lowercase input is normalized once; construction is idempotent.
+    Validates ``value`` and returns it as a plain ``str``, which the cyclic
+    GC never tracks; lowercase input is uppercased.  A value that is already
+    canonical comes back as the same object, so the call is idempotent.
+    Annotations keep the name ``MacId`` for such strings.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, value: str) -> "MacId":
-        if isinstance(value, MacId):
-            return value
-        text = str(value).upper()
-        if not _MAC_PATTERN.fullmatch(text):
-            raise ValueError(f"not a 12-hex-digit MAC: {value!r}")
-        return super().__new__(cls, text)
+    if type(value) is str and _MAC_PATTERN.fullmatch(value):
+        return value
+    text = str(value).upper()
+    if not _MAC_PATTERN.fullmatch(text):
+        raise ValueError(f"not a 12-hex-digit MAC: {value!r}")
+    return text
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ class RadioDevice:
 
 @dataclass(frozen=True, slots=True)
 class LogEvent:
-    """One logged world event; ``fields`` is pre-rendered and key-sorted."""
+    """One logged world event; ``fields`` is rendered and key-sorted."""
 
     time: SimTime
     seq: int
@@ -146,6 +154,61 @@ def _render(value: object) -> str:
     return str(value)
 
 
+def _template(shape: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    """The %-template of a whole line of one (event name, *keys) shape, and
+    its keys in sorted order."""
+    name, *keys = shape
+    keys.sort()
+    parts = ["t=%s seq=%s ev=" + name.replace("%", "%%")]
+    parts.extend(key.replace("%", "%%") + "=%s" for key in keys)
+    return " ".join(parts) + "\n", tuple(keys)
+
+
+class EventLog(Sequence):
+    """Read-only view of a world's event log, one ``LogEvent`` per line.
+
+    The lines are held raw in the world's three parallel lists.  ``len``
+    builds no event; indexing, slicing and iteration build each
+    ``LogEvent`` as it is reached, so a ``LogEvent`` is a fresh object on
+    every access.  A view equals a list of the same events.
+    """
+
+    __slots__ = ("_times", "_names", "_fields")
+
+    def __init__(self, times: list[SimTime], names: list[str],
+                 fields: list[dict[str, object]]) -> None:
+        self._times = times
+        self._names = names
+        self._fields = fields
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def _event(self, seq: int) -> LogEvent:
+        items = sorted(self._fields[seq].items())
+        return LogEvent(self._times[seq], seq, self._names[seq],
+                        tuple([(k, _render(v)) for k, v in items]))
+
+    def __getitem__(self, index):
+        n = len(self._times)
+        if isinstance(index, slice):
+            return [self._event(seq) for seq in range(*index.indices(n))]
+        seq = operator.index(index)
+        if seq < 0:
+            seq += n
+        if not 0 <= seq < n:
+            raise IndexError("log index out of range")
+        return self._event(seq)
+
+    def __iter__(self):
+        return map(self._event, range(len(self._times)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EventLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 class SimWorld:
     """The single-threaded event loop holding devices, links, and the log."""
 
@@ -160,10 +223,22 @@ class SimWorld:
         self.devices: dict[MacId, RadioDevice] = {}
         # Open links only, keyed (master, slave), in the order they opened.
         self.links: dict[tuple[MacId, MacId], LinkHandle] = {}
-        self.log: list[LogEvent] = []
+        # The log, one line per index: time, event name and the keyword
+        # fields as passed.  Parallel lists rather than a tuple per line,
+        # because a tuple holding a dict is never untracked by the GC.
+        self._times: list[SimTime] = []
+        self._names: list[str] = []
+        self._fields: list[dict[str, object]] = []
+        self._log = EventLog(self._times, self._names, self._fields)
         self._queue: list[tuple[SimTime, int, Callable[[SimWorld], None]]] = []
         self._sched_seq = 0
-        self._sorted_macs: tuple[MacId, ...] | None = None  # cleared by add_device
+        # presence_windows(), cleared by add_device.
+        self._windows: tuple[tuple[MacId, SimTime, float], ...] | None = None
+
+    @property
+    def log(self) -> EventLog:
+        """Every event emitted so far, as a read-only sequence of ``LogEvent``."""
+        return self._log
 
     # -- device registry -------------------------------------------------
 
@@ -171,7 +246,7 @@ class SimWorld:
         if device.mac in self.devices:
             raise ValueError(f"duplicate MAC {device.mac}")
         self.devices[device.mac] = device
-        self._sorted_macs = None
+        self._windows = None
         if device.arrival > self.now:
             self.schedule(device.arrival,
                           lambda w, m=device.mac: w.emit("device_arrived", mac=m))
@@ -180,11 +255,16 @@ class SimWorld:
                           lambda w, m=device.mac: w._depart(m))
         return device
 
-    def sorted_macs(self) -> tuple[MacId, ...]:
-        """Every device's MAC in ascending order."""
-        if self._sorted_macs is None:
-            self._sorted_macs = tuple(sorted(self.devices))
-        return self._sorted_macs
+    def presence_windows(self) -> tuple[tuple[MacId, SimTime, float], ...]:
+        """``(mac, arrival, departure or inf)`` of every device, in MAC order."""
+        if self._windows is None:
+            windows = []
+            for mac in sorted(self.devices):
+                dev = self.devices[mac]
+                end = math.inf if dev.departure is None else dev.departure
+                windows.append((mac, dev.arrival, end))
+            self._windows = tuple(windows)
+        return self._windows
 
     def device(self, mac: MacId) -> RadioDevice:
         try:
@@ -200,29 +280,53 @@ class SimWorld:
         heapq.heappush(self._queue, (at, self._sched_seq, action))
         self._sched_seq += 1
 
-    def emit(self, event_name: str, **fields: object) -> LogEvent:
-        if self.log and self.now < self.log[-1].time:
+    def emit(self, event_name: str, **fields: object) -> None:
+        """Append one event at the current time to the log.
+
+        The fields are stored as passed: not sorted, not rendered.
+        ``render_log`` and ``log`` do both later, which is safe only because
+        every field value is immutable (``str``, ``int``, ``bool``).
+        """
+        times = self._times
+        now = self.now
+        if times and now < times[-1]:
             raise AssertionError("event log went backwards in time")
-        rendered = tuple([(k, _render(v)) for k, v in sorted(fields.items())])
-        event = LogEvent(self.now, len(self.log), event_name, rendered)
-        self.log.append(event)
-        return event
+        times.append(now)
+        self._names.append(event_name)
+        self._fields.append(fields)
 
     def advance(self, until: SimTime) -> list[LogEvent]:
         """Process every queued event with time <= until, in (time, insertion)
         order, then set the clock to ``until``.  Returns the events emitted."""
         if until < self.now:
             raise ValueError("cannot advance backwards")
-        mark = len(self.log)
-        while self._queue and self._queue[0][0] <= until:
-            at, _, action = heapq.heappop(self._queue)
+        queue = self._queue
+        if not queue or queue[0][0] > until:
+            self.now = until
+            return []
+        mark = len(self._times)
+        while queue and queue[0][0] <= until:
+            at, _, action = heapq.heappop(queue)
             self.now = at
             action(self)
         self.now = until
-        return self.log[mark:]
+        return self._log[mark:]
 
     def render_log(self) -> str:
-        return "".join(ev.line() + "\n" for ev in self.log)
+        """The whole log as text: each line rendered once, keys sorted."""
+        render = _render
+        # Every emit call site passes a fixed key set: a few dozen shapes.
+        templates: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
+        lines = []
+        for seq, (t, name, fields) in enumerate(
+                zip(self._times, self._names, self._fields)):
+            shape = (name, *fields)
+            made = templates.get(shape)
+            if made is None:
+                made = templates[shape] = _template(shape)
+            template, keys = made
+            lines.append(template % (t, seq, *[render(fields[k]) for k in keys]))
+        return "".join(lines)
 
     # -- piconet links -----------------------------------------------------
 
@@ -304,21 +408,29 @@ def start_inquiry(world: SimWorld, initiator: MacId) -> list[tuple[MacId, SimTim
     if not ini.powered:
         raise PoweredOffError(f"initiator {initiator} is powered off")
     world.emit("inquiry_started", initiator=initiator)
-    draw = world.rng.randrange
-    devices = world.devices
+    # CPython's randrange(duration) inlined: draw bit_length bits, reject
+    # values >= duration.  The same draws, so the same stream;
+    # test_inquiry_draws_match_randrange fails first if CPython changes it.
+    getrandbits = world.rng.getrandbits
+    bits = duration.bit_length()
     answers = []
-    for mac in world.sorted_macs():
+    for mac, arrival, departure in world.presence_windows():
         if mac == initiator:
             continue
-        at = start + 1 + draw(duration)
-        if devices[mac].present_at(at):
+        r = getrandbits(bits)
+        while r >= duration:
+            r = getrandbits(bits)
+        at = start + 1 + r
+        if arrival <= at < departure:
             answers.append((at, mac))
     answers.sort()
+    devices = world.devices
+    ini_end = math.inf if ini.departure is None else ini.departure
     discovered = []
     for at, mac in answers:
         world.advance(at)
         dev = devices[mac]
-        if ini.powered and ini.present_at(at) and dev.powered \
+        if ini.powered and ini.arrival <= at < ini_end and dev.powered \
                 and dev.discoverable and in_range(ini, dev, world.params):
             discovered.append((mac, at))
             world.emit("device_discovered", mac=mac, name=dev.friendly_name)

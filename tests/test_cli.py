@@ -8,6 +8,7 @@ import pytest
 from pidsim import cli
 from pidsim.cli import main
 from pidsim.scenario import shipped_fixture_path
+from pidsim.simnet import SimWorld
 
 
 def run_cli(capsys, *args):
@@ -79,6 +80,23 @@ def test_run_writes_report_and_log(capsys, tmp_path):
     report_text = (report_dir / "report.txt").read_text()
     assert "delivered=7" in report_text
     assert _strip_banner(out) == report_text
+
+
+def test_run_renders_the_log_once_for_log_and_report(capsys, tmp_path, monkeypatch):
+    calls = []
+    render_log = SimWorld.render_log
+
+    def counting(world):
+        calls.append(world)
+        return render_log(world)
+
+    monkeypatch.setattr(SimWorld, "render_log", counting)
+    log_file = tmp_path / "events.log"
+    code, _, _ = run_cli(capsys, "run", "live_test", "--report", str(tmp_path / "out"),
+                         "--log", str(log_file))
+    assert code == 0
+    assert len(calls) == 1
+    assert log_file.read_bytes() == (tmp_path / "out" / "log.txt").read_bytes()
 
 
 def test_run_log_is_byte_identical_across_runs(capsys, tmp_path):

@@ -1,0 +1,103 @@
+"""Scale rungs: crowd_churn's shape at 10² and 10³ devices, asserted by exact
+counts rather than times.
+
+Each rung is ``perfbench/workloads.py``'s crowd_churn scenario with every
+count scaled by devices / 4 000, the same window and radio, corpus slot 7
+and sim seed 7.  The work a run does must grow no faster than devices ×
+inquiry passes, and the GC-tracked objects a run leaves behind no faster
+than its members.
+"""
+
+import gc
+import os
+import random
+import sys
+
+import pytest
+
+from pidsim import pidctl, scenario
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
+
+RUNGS = (100, 1_000)
+SLOT = SEED = 7
+SCALED = ("devices", "members", "after_window", "departing", "no_ftp_members")
+
+
+class CountingRandom(random.Random):
+    """A generator that counts every draw the simulator makes from it."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def _run_rung(devices: int, directory: str) -> dict:
+    base = workloads.WORKLOADS["crowd_churn"]
+    shape = dict(base)
+    for key in SCALED:
+        shape[key] = round(base[key] * devices / base["devices"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(workloads.WORKLOADS, "crowd_churn", shape)
+        path = workloads.write_slot("crowd_churn", SLOT, directory)
+    scen = scenario.load_scenario(path)
+    world = scen.build_world(SEED)
+    rng = CountingRandom()
+    rng.setstate(world.rng.getstate())
+    world.rng = rng
+    payload = scen.resolve_payload()
+    gc.collect()
+    before = len(gc.get_objects())
+    report = pidctl.run_proactive(world, scen.roster, payload,
+                                  inquiry_interval=scen.inquiry_interval,
+                                  local=scen.local)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    passes = len(report.iterations)
+    return {"devices": devices, "members": len(scen.roster.members),
+            "passes": passes, "work": devices * passes, "draws": rng.draws,
+            "lines": len(world.log), "scheduled": world._sched_seq,
+            "tracked_added": added, "delivered": report.delivered_count}
+
+
+@pytest.fixture(scope="module")
+def rungs(tmp_path_factory):
+    return [_run_rung(n, str(tmp_path_factory.mktemp(f"rung{n}"))) for n in RUNGS]
+
+
+def test_rungs_do_real_work(rungs):
+    for rung in rungs:
+        assert rung["passes"] >= 10 and rung["delivered"] > rung["members"] // 4, rung
+
+
+@pytest.mark.parametrize("count", ["draws", "lines"])
+def test_draws_and_log_lines_grow_no_faster_than_devices_times_passes(rungs, count):
+    small, large = (rung[count] / rung["work"] for rung in rungs)
+    assert large <= 1.1 * small, rungs
+
+
+def test_one_draw_per_other_device_per_pass(rungs):
+    for rung in rungs:
+        # Rejection sampling over a 4 000 ms window redraws ~2.3% of answers.
+        assert rung["work"] <= rung["draws"] <= 1.05 * rung["work"], rung
+
+
+def test_events_scheduled_grow_no_faster_than_devices(rungs):
+    small, large = (rung["scheduled"] / rung["devices"] for rung in rungs)
+    assert large <= 1.1 * small, rungs
+
+
+def test_tracked_objects_grow_no_faster_than_members(rungs):
+    for rung in rungs:
+        assert rung["tracked_added"] <= rung["members"] + 64, rung

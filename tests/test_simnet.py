@@ -1,11 +1,14 @@
 """Radio world: addressing, clock, inquiry, links, transfer timing."""
 
+import gc
+import os
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pidsim import simnet
 from pidsim.errors import (
     OutOfRangeError,
     PiconetFullError,
@@ -13,6 +16,8 @@ from pidsim.errors import (
     SimError,
     UnknownDeviceError,
 )
+from pidsim.pidctl import run_proactive
+from pidsim.scenario import load_scenario
 from pidsim.sdp import search_services
 from pidsim.simnet import (
     MacId,
@@ -45,6 +50,13 @@ def test_mac_canonicalization_idempotent(text):
     assert MacId(once) == once
     assert MacId(once) is once
     assert once == text.upper()
+
+
+def test_mac_is_a_plain_str_the_gc_does_not_track():
+    value = MacId("001122334455")
+    assert type(value) is str
+    assert not gc.is_tracked(value)
+    assert type(MacId("00112233445a")) is str
 
 
 def test_radio_params_must_be_positive():
@@ -110,6 +122,84 @@ def test_log_line_format():
     w.emit("sample", b=2, a="x")
     assert w.log[-1].line() == "t=0 seq=0 ev=sample a=x b=2"
     assert w.render_log().endswith("\n")
+
+
+def _counting(monkeypatch, name, original):
+    """Replace ``simnet.<name>`` with a wrapper that records each call."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simnet, name, wrapper, raising=False)
+    return calls
+
+
+def test_emit_neither_renders_nor_sorts(monkeypatch):
+    w = make_world()
+    renders = _counting(monkeypatch, "_render", simnet._render)
+    sorts = _counting(monkeypatch, "sorted", sorted)
+    w.emit("sample", b=2, a="x", c=True)
+    w.emit("other", mac=LOCAL)
+    assert renders == [] and sorts == []
+    assert len(w.log) == 2
+
+
+def test_render_log_renders_each_field_once(monkeypatch):
+    w = make_world(n_others=6, seed=3)
+    start_inquiry(w, LOCAL)
+    w.emit("flags", on=True, off=False, none=None)
+    fields = sum(len(e.fields) for e in w.log)
+    expected = "".join(e.line() + "\n" for e in w.log)
+    renders = _counting(monkeypatch, "_render", simnet._render)
+    assert w.render_log() == expected
+    assert len(renders) == fields
+    assert w.log[-1].line() == "t=16000 seq=%d ev=flags none=None off=false on=true" % (
+        len(w.log) - 1)
+
+
+def test_log_view_builds_events_only_when_asked(monkeypatch):
+    w = make_world(n_others=4, seed=3)
+    start_inquiry(w, LOCAL)
+    n = len(w.log)
+    built = _counting(monkeypatch, "LogEvent", simnet.LogEvent)
+    assert len(w.log) == n and built == []
+    assert w.log[-1] == w.log[n - 1] and len(built) == 2
+    assert w.log[-1] is not w.log[-1]
+    assert [e.seq for e in w.log[1:3]] == [1, 2] and len(built) == 6
+    assert next(iter(w.log)).seq == 0 and len(built) == 7
+    assert w.log != [] and list(w.log) == w.log[:] == w.log
+    with pytest.raises(IndexError):
+        w.log[n]
+    with pytest.raises(IndexError):
+        w.log[-n - 1]
+
+
+def test_empty_log_equals_an_empty_list():
+    w = make_world()
+    assert w.log == [] and [] == w.log and len(w.log) == 0
+    assert w.log != () and list(w.log) == []
+
+
+def test_classroom_run_adds_no_gc_tracked_object_per_log_line():
+    """The log keeps no GC-tracked object per line: after a collection, a
+    classroom200 run adds at most one tracked object per member (its
+    outcome) plus a constant, while it logs ~1 900 lines."""
+    scen = load_scenario(os.path.join(os.path.dirname(__file__), "data",
+                                      "classroom200.scn"))
+    world = scen.build_world(0)
+    payload = scen.resolve_payload()
+    gc.collect()
+    before = len(gc.get_objects())
+    report = run_proactive(world, scen.roster, payload,
+                           inquiry_interval=scen.inquiry_interval, local=scen.local)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    members = len(scen.roster.members)
+    assert len(world.log) > 10 * members
+    assert added <= members + 64, (added, len(world.log))
+    assert report.delivered_count > 0
 
 
 # -- in_range ----------------------------------------------------------------
@@ -273,12 +363,41 @@ def test_inquiry_schedules_only_devices_present_at_their_instant():
     assert w._sched_seq - before == 0
 
 
+# Window lengths at the bit-length edges of CPython's rejection sampler.
+_DRAW_EDGES = sorted({1, 2, 3} | {n for k in range(2, 21)
+                                  for n in (2**k - 1, 2**k, 2**k + 1)})
+
+
+@pytest.mark.parametrize("duration", _DRAW_EDGES)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_inquiry_draws_match_randrange(duration, seed):
+    """start_inquiry inlines randrange's getrandbits rejection loop.  It
+    must give the answer instants and leave the generator state that
+    ``randrange(duration)`` gives on a twin generator."""
+    n = 9
+    w = SimWorld(seed=seed, params=RadioParams(inquiry_duration=duration))
+    w.add_device(make_device(LOCAL, x=0.0, y=0.0))
+    for i in range(1, n):
+        w.add_device(make_device(mac(i), x=1.0))
+    twin = random.Random(seed)
+    expected = {mac(i): 1 + twin.randrange(duration) for i in range(1, n)}
+    found = dict(start_inquiry(w, LOCAL))
+    message = ("start_inquiry's inlined draw loop no longer matches "
+               "random.Random.randrange on this Python; re-derive it from "
+               "Random._randbelow before trusting any golden log")
+    assert found == expected, message
+    assert w.rng.getstate() == twin.getstate(), message
+
+
 def test_inquiry_sees_a_device_added_after_an_earlier_inquiry():
     w = make_world(n_others=2, seed=4)
     start_inquiry(w, LOCAL)
     w.add_device(make_device(mac(3), x=2.0))
     found = start_inquiry(w, LOCAL)
     assert sorted(m for m, _ in found) == [mac(1), mac(2), mac(3)]
+    windows = w.presence_windows()
+    assert [m for m, _, _ in windows] == [LOCAL, mac(1), mac(2), mac(3)]
 
 
 def _discoveries_to_window_end(w):
