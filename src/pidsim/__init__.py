@@ -48,7 +48,6 @@ from .pidctl import (
     choose_push_target,
     run_proactive,
     run_stepped,
-    verify_member,
 )
 from .scenario import Scenario, load_scenario, shipped_fixture_names, shipped_fixture_path
 from .sdp import (

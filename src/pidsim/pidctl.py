@@ -5,6 +5,10 @@ service listing, one push).  The proactive run wraps the same machinery in
 a timed loop: re-discover at an interval inside a window around course
 start, verify roster membership, and push the file to every eligible
 member exactly once, retrying link failures on later passes.
+
+MACs are canonical here: ``Roster`` canonicalizes its members, and every
+other MAC comes from the world or the scenario, which canonicalize theirs
+where they enter.  Nothing below re-checks one.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from typing import Callable
 from .errors import OutOfRangeError, PiconetFullError, PoweredOffError
 from .obexlite import PushSession, TransferOutcome
 from .sdp import (
-    ConnectionUrl,
     ServiceCatalog,
     ServiceRecord,
     filter_ftp,
@@ -72,40 +75,29 @@ class Roster:
         return self.course_start + self.window_after
 
 
-def verify_member(roster: Roster, mac: str) -> bool:
-    try:
-        return MacId(mac) in roster.members
-    except ValueError:
-        return False
-
-
-@dataclass
-class SessionState:
-    """Mutable per-run bookkeeping.  ``mark_delivered`` and ``mark_skipped``
-    each move a member out of ``pending`` exactly once, so the three buckets
-    stay disjoint and cover the membership."""
-
-    pending: set[MacId]
-    delivered: dict[MacId, SimTime] = field(default_factory=dict)
-    skipped: dict[MacId, str] = field(default_factory=dict)
-    attempts: dict[MacId, int] = field(default_factory=dict)
-    first_seen: dict[MacId, SimTime] = field(default_factory=dict)
-
-    def mark_delivered(self, mac: MacId, at: SimTime) -> None:
-        self.pending.remove(mac)
-        self.delivered[mac] = at
-
-    def mark_skipped(self, mac: MacId, reason: str) -> None:
-        self.pending.remove(mac)
-        self.skipped[mac] = reason
-
-
 @dataclass(frozen=True)
 class MemberOutcome:
     mac: MacId
     outcome: str
     time: SimTime | None = None
     attempts: int = 0
+
+
+@dataclass
+class SessionState:
+    """Mutable per-run bookkeeping.  ``close`` moves a member out of
+    ``pending`` into ``closed`` exactly once, so the two stay disjoint and
+    together cover the membership."""
+
+    pending: set[MacId]
+    attempts: dict[MacId, int] = field(default_factory=dict)
+    first_seen: dict[MacId, SimTime] = field(default_factory=dict)
+    closed: dict[MacId, MemberOutcome] = field(default_factory=dict)
+
+    def close(self, mac: MacId, outcome: str, at: SimTime | None = None) -> None:
+        self.pending.remove(mac)
+        self.closed[mac] = MemberOutcome(mac, outcome, at,
+                                         self.attempts.get(mac, 0))
 
 
 @dataclass(frozen=True)
@@ -149,8 +141,7 @@ class DeliveryReport:
     def delivered_macs(self) -> list[MacId]:
         return sorted(m for m, o in self.outcomes.items() if o.outcome == DELIVERED)
 
-    def outcome_of(self, mac: str) -> str:
-        mac = MacId(mac)
+    def outcome_of(self, mac: MacId) -> str:
         if mac in self.outcomes:
             return self.outcomes[mac].outcome
         if mac in self.non_members:
@@ -186,14 +177,13 @@ class DeliveryReport:
         return lines
 
 
-def choose_push_target(ftp_map: dict[MacId, ServiceRecord], roster: Roster,
-                       state: SessionState) -> list[tuple[MacId, ConnectionUrl]]:
-    """Pending roster members with a file-transfer record, in the order
-    they were first discovered (ties by MAC); delivery walks this list."""
-    eligible = [mac for mac in ftp_map
-                if mac in roster.members and mac in state.pending]
-    eligible.sort(key=lambda m: (state.first_seen.get(m, 0), m))
-    return [(mac, ftp_map[mac].connection_url) for mac in eligible]
+def choose_push_target(ftp: set[MacId], state: SessionState) -> list[MacId]:
+    """Pending members with a file-transfer record, in the order they were
+    first discovered (ties by MAC); delivery walks this list.  Only members
+    are ever queried, so ``ftp`` holds no one else."""
+    eligible = [mac for mac in ftp if mac in state.pending]
+    eligible.sort(key=lambda m: (state.first_seen[m], m))
+    return eligible
 
 
 def _attempt_push(world: SimWorld, local: MacId, target: MacId,
@@ -228,11 +218,10 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
     # Kept only because perfbench/runner.py passes params=scenario.radio.
     if params is not None and params != world.params:
         raise ValueError("params must be None or world.params")
-    local = MacId(local)
     world.device(local)  # fail fast on a missing client device
 
     state = SessionState(pending=set(roster.members))
-    ftp_map: dict[MacId, ServiceRecord] = {}
+    ftp: set[MacId] = set()  # queried members with a file-transfer record
     non_members: dict[MacId, SimTime] = {}
     iterations: list[IterationStats] = []
 
@@ -256,7 +245,7 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
         for mac, seen_at in discovered:
             if mac in state.first_seen or mac in non_members:
                 continue
-            if mac in roster.members:  # a world's MACs are canonical
+            if mac in roster.members:
                 state.first_seen[mac] = seen_at
                 newly.append(mac)
             else:
@@ -266,62 +255,48 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
         for mac in sorted(newly):
             if roster.late_cutoff is not None \
                     and state.first_seen[mac] > roster.late_cutoff:
-                state.mark_skipped(mac, LATE)
+                state.close(mac, LATE)
                 world.emit("member_skipped", mac=mac, reason=LATE)
 
         to_query = sorted(m for m in newly if m in state.pending)
         if to_query:
             catalog = search_services(world, local, to_query)
             answered = set(catalog.services) | set(catalog.empty)
-            ftp_map.update(filter_ftp(catalog))
+            ftp.update(filter_ftp(catalog))
             for mac in to_query:
-                if mac in answered and mac not in ftp_map:
-                    state.mark_skipped(mac, NO_FTP_SERVICE)
+                if mac in answered and mac not in ftp:
+                    state.close(mac, NO_FTP_SERVICE)
                     world.emit("member_skipped", mac=mac, reason=NO_FTP_SERVICE)
 
-        targets = choose_push_target(ftp_map, roster, state)
-        attempted = 0
+        targets = choose_push_target(ftp, state)
         delivered_now = 0
-        for mac, url in targets:
-            assert url.mac == mac  # catalog construction guarantees it
-            attempted += 1
-            outcome = _attempt_push(world, local, url.mac, file_name, payload)
+        for mac in targets:
+            outcome = _attempt_push(world, local, mac, file_name, payload)
             if outcome.delivered:
-                state.mark_delivered(mac, world.now)
+                state.close(mac, DELIVERED, world.now)
                 delivered_now += 1
             elif outcome.status == "refused":
-                state.mark_skipped(mac, REFUSED)
+                state.close(mac, REFUSED)
             else:
                 state.attempts[mac] = state.attempts.get(mac, 0) + 1
                 if state.attempts[mac] >= roster.max_retries:
-                    state.mark_skipped(mac, RETRIES_EXHAUSTED)
+                    state.close(mac, RETRIES_EXHAUSTED)
                     world.emit("member_skipped", mac=mac,
                                reason=RETRIES_EXHAUSTED)
 
         iterations.append(IterationStats(
             index, iter_started, len(discovered), len(newly),
-            len(to_query), len(targets), attempted, delivered_now))
+            len(to_query), len(targets), len(targets), delivered_now))
         index += 1
         next_start = iter_started + inquiry_interval
 
-    outcomes: dict[MacId, MemberOutcome] = {}
-    for mac in sorted(roster.members):
-        attempts = state.attempts.get(mac, 0)
-        if mac in state.delivered:
-            outcomes[mac] = MemberOutcome(mac, DELIVERED,
-                                          state.delivered[mac], attempts)
-        elif mac in state.skipped:
-            outcomes[mac] = MemberOutcome(mac, state.skipped[mac],
-                                          None, attempts)
-        elif mac not in state.first_seen:
-            outcomes[mac] = MemberOutcome(mac, NEVER_DISCOVERED)
-        else:
-            outcomes[mac] = MemberOutcome(mac, PENDING, None, attempts)
-
+    for mac in sorted(state.pending):  # still open when the window closed
+        state.close(mac, PENDING if mac in state.first_seen else NEVER_DISCOVERED)
+    members = tuple(sorted(roster.members))
     return DeliveryReport(
         course_id=roster.course_id,
-        members=tuple(sorted(roster.members)),
-        outcomes=outcomes,
+        members=members,
+        outcomes={mac: state.closed[mac] for mac in members},
         non_members=non_members,
         iterations=iterations,
         started_at=start,
@@ -356,8 +331,11 @@ class StepReport:
     ftp_targets: dict[MacId, ServiceRecord] = field(default_factory=dict)
     delivered_to: MacId | None = None
     outcome: TransferOutcome | None = None
-    aborted: bool = False
     abort_reason: str | None = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
 
 def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
@@ -375,7 +353,7 @@ def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
         if config.interactive:
             config.read_line("[enter to continue] ")
 
-    local = MacId(config.local)
+    local = config.local
     dev = world.device(local)
 
     say("***** Proactive Information Delivery: stepped walkthrough *****")
@@ -384,7 +362,6 @@ def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
     say("Step 1. Is the power on?")
     say(f"Power is {'on' if dev.powered else 'off'}")
     if not dev.powered:
-        report.aborted = True
         report.abort_reason = "local device is powered off"
         say("Aborting: local radio is powered off.")
         return report
@@ -432,21 +409,18 @@ def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
 
     say("Step 8. Transfer a file to a device.")
     if not report.ftp_targets:
-        report.aborted = True
         report.abort_reason = "no device offers the file-transfer service"
         say("No discovered device offers the file-transfer service; stopping.")
         return report
 
     file_name, payload, error = _resolve_step_file(config)
     if error is not None:
-        report.aborted = True
         report.abort_reason = error
         say(f"Error: {error}")
         return report
 
-    target = MacId(config.target) if config.target else min(report.ftp_targets)
+    target = config.target or min(report.ftp_targets)
     if target not in report.ftp_targets:
-        report.aborted = True
         report.abort_reason = f"target {target} offers no file-transfer service"
         say(f"Error: {report.abort_reason}")
         return report
@@ -460,7 +434,6 @@ def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
         say(f"Transfer complete: {outcome.frames_sent} frames, "
             f"{outcome.duration} ms")
     else:
-        report.aborted = True
         report.abort_reason = outcome.status
         say(f"Transfer failed: {report.abort_reason}")
     return report

@@ -152,7 +152,7 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
         raise ScenarioError(f"scenario.local: initiator {local} is powered off")
 
     roster = None
-    if "roster" in data:
+    if data.get("roster") is not None:
         roster = _parse_roster(_expect(data, "roster", dict, "scenario"))
     if mode == "proactive" and roster is None:
         raise ScenarioError("scenario.roster: required for proactive mode")
@@ -168,12 +168,12 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
         raise ScenarioError("scenario.inquiry_interval: must be positive")
 
     step_target = None
-    if "step_target" in data:
+    if data.get("step_target") is not None:
         step_target = _parse_mac(_expect(data, "step_target", str, "scenario"),
                                  "scenario.step_target")
 
     usage = None
-    if "usage" in data:
+    if data.get("usage") is not None:
         usage_obj = _expect(data, "usage", dict, "scenario")
         _check_keys(usage_obj, _USAGE_KEYS, "scenario.usage")
         try:

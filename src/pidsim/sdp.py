@@ -97,11 +97,10 @@ def search_services(world: SimWorld, initiator: MacId, targets) -> ServiceCatalo
     under ``departed``.
     """
     per_device = world.params.service_search_per_device
-    initiator = MacId(initiator)
     ini = world.device(initiator)
     if not ini.powered:
         raise PoweredOffError(f"initiator {initiator} is powered off")
-    devices = [world.device(mac) for mac in sorted(MacId(t) for t in targets)]
+    devices = [world.device(mac) for mac in sorted(targets)]
     catalog = ServiceCatalog()
     for dev in devices:
         world.advance(world.now + per_device)

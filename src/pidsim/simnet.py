@@ -268,7 +268,7 @@ class SimWorld:
 
     def device(self, mac: MacId) -> RadioDevice:
         try:
-            return self.devices[MacId(mac)]
+            return self.devices[mac]
         except KeyError:
             raise UnknownDeviceError(f"no device with MAC {mac}") from None
 
@@ -295,22 +295,17 @@ class SimWorld:
         self._names.append(event_name)
         self._fields.append(fields)
 
-    def advance(self, until: SimTime) -> list[LogEvent]:
+    def advance(self, until: SimTime) -> None:
         """Process every queued event with time <= until, in (time, insertion)
-        order, then set the clock to ``until``.  Returns the events emitted."""
+        order, then set the clock to ``until``."""
         if until < self.now:
             raise ValueError("cannot advance backwards")
         queue = self._queue
-        if not queue or queue[0][0] > until:
-            self.now = until
-            return []
-        mark = len(self._times)
         while queue and queue[0][0] <= until:
             at, _, action = heapq.heappop(queue)
             self.now = at
             action(self)
         self.now = until
-        return self._log[mark:]
 
     def render_log(self) -> str:
         """The whole log as text: each line rendered once, keys sorted."""
@@ -336,8 +331,6 @@ class SimWorld:
 
     def connect(self, master: MacId, slave: MacId) -> LinkHandle:
         """Attach ``slave`` to ``master``'s piconet and open a link."""
-        master = MacId(master)
-        slave = MacId(slave)
         if slave == master:
             raise SimError(f"{master} cannot link to itself")
         m_dev = self.device(master)
@@ -403,7 +396,6 @@ def start_inquiry(world: SimWorld, initiator: MacId) -> list[tuple[MacId, SimTim
     """
     start = world.now
     duration = world.params.inquiry_duration
-    initiator = MacId(initiator)
     ini = world.device(initiator)
     if not ini.powered:
         raise PoweredOffError(f"initiator {initiator} is powered off")

@@ -231,6 +231,36 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fixture,key", [
+    ("fig6_classroom", "roster"), ("fig6_classroom", "step_target"),
+    ("fig6_classroom", "usage"), ("live_test", "step_target"),
+    ("live_test", "usage")])
+def test_null_optional_block_reads_as_left_out(capsys, tmp_path, fixture, key):
+    """An optional block set to null takes its default, as the README says."""
+    data = json.loads(open(shipped_fixture_path(fixture)).read())
+    data.pop(key, None)
+    path = tmp_path / "block.scn"
+    outputs = []
+    for variant in (data, dict(data, **{key: None})):
+        path.write_text(json.dumps(variant))
+        for command in ("validate", "run"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 0, err
+            outputs.append(out)
+    assert outputs[:2] == outputs[2:]
+
+
+def test_null_roster_is_still_required_for_proactive_mode(capsys, tmp_path):
+    data = json.loads(open(shipped_fixture_path("live_test")).read())
+    data["roster"] = None
+    path = tmp_path / "no_roster.scn"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "run"):
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == 1
+        assert err == "error: scenario.roster: required for proactive mode\n"
+
+
 @pytest.mark.parametrize("flag,target", [("--report", "out"), ("--log", "x.log")])
 def test_unwritable_output_is_one_error_line(capsys, tmp_path, flag, target):
     plain = tmp_path / "plain"

@@ -1,9 +1,12 @@
 """Controller: stepped walkthrough, proactive loop, roster policy."""
 
 import dataclasses
+import os
 
 import pytest
 
+from pidsim import pidctl, sdp, simnet
+from pidsim.errors import UnknownDeviceError
 from pidsim.pidctl import (
     DELIVERED,
     LATE,
@@ -12,13 +15,13 @@ from pidsim.pidctl import (
     PENDING,
     REFUSED,
     RETRIES_EXHAUSTED,
+    MemberOutcome,
     Roster,
     SessionState,
     StepConfig,
     choose_push_target,
     run_proactive,
     run_stepped,
-    verify_member,
 )
 from pidsim.scenario import load_scenario, shipped_fixture_path
 
@@ -34,19 +37,26 @@ def _roster(members, **kwargs):
     return Roster(members=frozenset(members), **defaults)
 
 
-# -- verify_member -------------------------------------------------------------
+# -- roster ------------------------------------------------------------------
 
 
 def test_verify_member_basics():
     roster = _roster([mac(1), mac(2)])
-    assert verify_member(roster, mac(1))
-    assert not verify_member(roster, mac(9))
+    assert mac(1) in roster.members
+    assert mac(9) not in roster.members
 
 
 def test_verify_member_canonicalizes_case():
     roster = _roster(["0019e3a20001"])
-    assert verify_member(roster, "0019E3A20001")
-    assert verify_member(roster, "0019e3a20001")
+    assert simnet.MacId("0019E3A20001") in roster.members
+    assert simnet.MacId("0019e3a20001") in roster.members
+
+
+def test_roster_canonicalizes_member_case():
+    roster = _roster(["0019e3a20001", mac(2)])
+    assert roster.members == {"0019E3A20001", mac(2)}
+    with pytest.raises(ValueError):
+        _roster(["0019e3a2000g"])
 
 
 def test_roster_validation():
@@ -61,34 +71,19 @@ def test_roster_validation():
 # -- choose_push_target ----------------------------------------------------------
 
 
-def _ftp_map(*macs):
-    return {m: ftp_record(m) for m in macs}
-
-
 def test_choose_push_target_orders_by_discovery_time_then_mac():
-    roster = _roster([mac(1), mac(2), mac(3)])
-    state = SessionState(pending=set(roster.members))
+    state = SessionState(pending={mac(1), mac(2), mac(3)})
     state.first_seen = {mac(1): 3_000, mac(2): 2_000, mac(3): 2_000}
-    targets = choose_push_target(_ftp_map(mac(1), mac(2), mac(3)), roster, state)
-    assert [m for m, _ in targets] == [mac(2), mac(3), mac(1)]
+    targets = choose_push_target({mac(1), mac(2), mac(3)}, state)
+    assert targets == [mac(2), mac(3), mac(1)]
 
 
-def test_choose_push_target_excludes_delivered_and_non_members():
-    roster = _roster([mac(1), mac(2)])
-    state = SessionState(pending={mac(2)})
-    state.delivered[mac(1)] = 5_000
-    state.first_seen = {mac(1): 100, mac(2): 200}
-    ftp = _ftp_map(mac(1), mac(2), mac(9))  # mac(9) is not on the roster
-    targets = choose_push_target(ftp, roster, state)
-    assert [m for m, _ in targets] == [mac(2)]
-
-
-def test_choose_push_target_returns_connection_urls():
-    roster = _roster([mac(1)])
-    state = SessionState(pending={mac(1)})
-    state.first_seen = {mac(1): 100}
-    [(m, url)] = choose_push_target(_ftp_map(mac(1)), roster, state)
-    assert url.mac == m
+def test_choose_push_target_excludes_closed_members():
+    state = SessionState(pending={mac(1), mac(2), mac(3)})
+    state.first_seen = {mac(1): 100, mac(2): 200, mac(3): 300}
+    state.close(mac(1), DELIVERED, 5_000)
+    state.close(mac(3), REFUSED)
+    assert choose_push_target({mac(1), mac(2), mac(3)}, state) == [mac(2)]
 
 
 # -- stepped walkthrough ----------------------------------------------------------
@@ -387,14 +382,56 @@ def test_stepped_and_proactive_agree_on_static_world():
 
 
 def test_session_state_invariant_checks():
-    state = SessionState(pending={mac(1)})
-    state.mark_delivered(mac(1), 5)
-    assert state.delivered == {mac(1): 5}
-    assert state.pending == set() and state.skipped == {}
+    state = SessionState(pending={mac(1), mac(2)})
+    state.attempts[mac(1)] = 2
+    state.close(mac(1), DELIVERED, 5)
+    state.close(mac(2), LATE)
+    assert state.closed == {mac(1): MemberOutcome(mac(1), DELIVERED, 5, 2),
+                            mac(2): MemberOutcome(mac(2), LATE)}
+    assert state.pending == set()
     with pytest.raises(KeyError):
-        state.mark_delivered(mac(1), 6)  # delivered exactly once
+        state.close(mac(1), DELIVERED, 6)  # closed exactly once
     with pytest.raises(KeyError):
-        state.mark_skipped(mac(1), "late")  # no longer pending
+        state.close(mac(1), LATE)  # no longer pending
+    assert state.closed[mac(1)].time == 5
+
+
+# -- MACs are canonicalized where they enter, never again ---------------------
+
+
+def test_device_lookup_takes_the_canonical_mac():
+    w = make_world(n_others=1)
+    assert w.device(mac(1)).mac == mac(1)
+    with pytest.raises(UnknownDeviceError):
+        w.device(mac(1).lower())
+
+
+def test_classroom_run_makes_no_mac_check_and_builds_no_log_event(monkeypatch):
+    """The proactive loop re-validates no MAC and builds no ``LogEvent``
+    while it runs: every MAC was canonicalized when the scenario was
+    parsed, and nothing it calls hands events back."""
+    path = os.path.join(os.path.dirname(__file__), "data", "classroom200.scn")
+    scenario = load_scenario(path)
+    w = scenario.build_world(0)
+    file = scenario.resolve_payload()
+    calls = {"MacId": 0, "LogEvent": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    check_mac = counting("MacId", simnet.MacId)
+    for module in (simnet, sdp, pidctl):
+        monkeypatch.setattr(module, "MacId", check_mac)
+    monkeypatch.setattr(simnet, "LogEvent", counting("LogEvent", simnet.LogEvent))
+    report = run_proactive(w, scenario.roster, file,
+                           inquiry_interval=scenario.inquiry_interval,
+                           local=scenario.local)
+    monkeypatch.undo()
+    assert report.delivered_count > 0 and len(w.log) > 1_000
+    assert calls == {"MacId": 0, "LogEvent": 0}
 
 
 # -- a link that never opens ---------------------------------------------------

@@ -80,8 +80,8 @@ def test_device_presence_window():
 
 
 def test_advance_empty_queue_is_noop(world):
-    events = world.advance(1000)
-    assert events == []
+    assert world.advance(1000) is None
+    assert world.log == []
     assert world.now == 1000
 
 
@@ -94,9 +94,9 @@ def test_advance_rejects_going_backwards(world):
 def test_equal_time_events_fire_in_insertion_order(world):
     world.schedule(5, lambda w: w.emit("first"))
     world.schedule(5, lambda w: w.emit("second"))
-    events = world.advance(5)
-    assert [e.name for e in events] == ["first", "second"]
-    assert [e.seq for e in events] == [0, 1]
+    world.advance(5)
+    assert [e.name for e in world.log] == ["first", "second"]
+    assert [e.seq for e in world.log] == [0, 1]
 
 
 def test_replay_same_seed_identical_logs():
