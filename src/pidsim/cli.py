@@ -140,8 +140,7 @@ def execute_scenario(path: str, seed_flag: int | None = None,
                             payload=scenario.file_payload,
                             file_path=scenario.file_path,
                             target=scenario.step_target,
-                            interactive=interactive,
-                            print_fn=print if interactive else None)
+                            interactive=interactive)
         report = run_stepped(world, config)
         if interactive:
             return RunArtifacts([], world, report)  # lines already printed live

@@ -316,7 +316,6 @@ class StepConfig:
     target: MacId | None = None
     interactive: bool = False
     input_fn: Callable[[str], str] | None = None  # defaults to builtins input
-    print_fn: Callable[[str], None] | None = None
 
     def read_line(self, prompt: str) -> str:
         fn = self.input_fn if self.input_fn is not None else input
@@ -341,13 +340,14 @@ class StepReport:
 def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
     """The eight-step console walkthrough: banner, power check, local
     identity, inquiry, device listing, service search, service listing,
-    and one file push.  Interactive mode pauses between steps."""
+    and one file push.  Interactive mode prints each line as it is said
+    and pauses between steps."""
     report = StepReport()
 
     def say(text: str) -> None:
         report.lines.append(text)
-        if config.print_fn is not None:
-            config.print_fn(text)
+        if config.interactive:
+            print(text)
 
     def pause() -> None:
         if config.interactive:

@@ -1,15 +1,20 @@
 """Scenario files: strict JSON schema, validation, and world construction.
 
 A scenario is a JSON document (conventionally ``*.scn``) gated by
-``schema_version``; unknown keys anywhere are an error so that typos never
-silently change a run.  The full schema is documented in the README.
+``schema_version``.  Each of its blocks has one table of its fields and
+their JSON types, and ``_fields`` checks a block against it in one pass:
+unknown keys anywhere are an error so that typos never silently change a
+run, ``notes`` is allowed in every block, and every number must be finite.
+The full schema is documented in the README.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .errors import ProtocolError, ScenarioError
@@ -21,55 +26,64 @@ from .simnet import MacId, RadioDevice, RadioParams, SimTime, SimWorld
 
 SCHEMA_VERSION = 1
 
-_SCENARIO_KEYS = {
-    "schema_version", "seed", "mode", "local", "radio", "loss_probability",
-    "devices", "roster", "file", "inquiry_interval", "step_target", "usage",
-    "notes",
-}
-# Optional fields of a block, with their JSON types.  A field the scenario
-# leaves out (or sets to null) is not passed on, so the dataclass default holds.
-_RADIO_TYPES = {"range_m": (int, float), "inquiry_duration": int,
-                "service_search_per_device": int, "link_rate_bps": int,
-                "session_overhead": int}
-_DEVICE_TYPES = {"powered": bool, "discoverable": bool, "arrival": int,
-                 "departure": int, "refuse_push": bool, "drop_transfers": int}
-_ROSTER_TYPES = {"window_before": int, "window_after": int, "late_cutoff": int,
-                 "max_retries": int}
-_DEVICE_KEYS = {"mac", "name", "position", "services", "notes", *_DEVICE_TYPES}
-_SERVICE_KEYS = {"id", "name", "channel", "path", "scheme", "notes"}
-_ROSTER_KEYS = {"course_id", "members", "course_start", "notes", *_ROSTER_TYPES}
-_FILE_KEYS = {"name", "text", "hex", "path", "notes"}
-_USAGE_KEYS = {"students", "pages_per_week", "weeks", "notes"}
+# One table per block: each field with its JSON type(s).  A field left out
+# or set to null is not returned by ``_fields``, so its default holds.
+_SCENARIO = {"schema_version": int, "mode": str, "seed": int, "local": str,
+             "radio": dict, "loss_probability": (int, float), "devices": list,
+             "roster": dict, "file": dict, "inquiry_interval": int,
+             "step_target": str, "usage": dict}
+_RADIO = {"range_m": (int, float), "inquiry_duration": int,
+          "service_search_per_device": int, "link_rate_bps": int,
+          "session_overhead": int}
+_DEVICE = {"mac": str, "name": str, "position": list, "services": list,
+           "powered": bool, "discoverable": bool, "arrival": int,
+           "departure": int, "refuse_push": bool, "drop_transfers": int}
+_SERVICE = {"id": int, "name": str, "channel": int, "path": str, "scheme": str}
+_ROSTER = {"course_id": str, "members": list, "course_start": int,
+           "window_before": int, "window_after": int, "late_cutoff": int,
+           "max_retries": int}
+_FILE = {"name": str, "text": str, "hex": str, "path": str}
+_USAGE = {"students": int, "pages_per_week": int, "weeks": int}
+_DEVICE_FIELDS = tuple(f.name for f in fields(RadioDevice))
 
 
-_REQUIRED = object()
-
-
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    unknown = sorted(set(obj).difference(allowed))
+def _fields(obj, spec: dict, where: str, required=()) -> dict:
+    """The fields that block ``obj`` sets to a non-null value, read against
+    ``spec`` in one pass: unknown keys and missing ``required`` ones are
+    refused first, then any value of the wrong type.  A bool never counts as
+    int or float, a float must be finite, and a required field set to null
+    is refused as mistyped."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    unknown = sorted(set(obj).difference(spec, ("notes",)))
     if unknown:
         raise ScenarioError(f"{where}: unknown field(s): {', '.join(unknown)}")
-
-
-def _expect(obj: dict, key: str, types, where: str, default=_REQUIRED):
-    if key not in obj or obj[key] is None and default is not _REQUIRED:
-        if default is _REQUIRED:
+    for key in required:
+        if key not in obj:
             raise ScenarioError(f"{where}: missing required field {key!r}")
-        return default
-    value = obj[key]
-    type_tuple = types if isinstance(types, tuple) else (types,)
-    is_bool = isinstance(value, bool)
-    if is_bool and bool not in type_tuple or not isinstance(value, types):
-        expected = " or ".join(t.__name__ for t in type_tuple)
-        got = "a boolean" if is_bool else type(value).__name__
-        raise ScenarioError(f"{where}.{key}: expected {expected}, got {got}")
-    return value
+    found = {}
+    for key, value in obj.items():
+        if value is None and key not in required or key == "notes":
+            continue
+        types = spec[key]
+        is_bool = type(value) is bool
+        if is_bool and types is not bool or not isinstance(value, types):
+            expected = " or ".join(t.__name__ for t in
+                                   (types if isinstance(types, tuple) else (types,)))
+            got = "a boolean" if is_bool else type(value).__name__
+            raise ScenarioError(f"{where}.{key}: expected {expected}, got {got}")
+        if type(value) is float and not math.isfinite(value):
+            raise ScenarioError(f"{where}.{key}: expected a finite number")
+        found[key] = value
+    return found
 
 
-def _given(obj: dict, types: dict, where: str) -> dict:
-    """The optional fields ``obj`` sets to a non-null value, type-checked."""
-    return {key: _expect(obj, key, t, where)
-            for key, t in types.items() if obj.get(key) is not None}
+def _checked(where: str, make, *args, **kw):
+    """``make(*args, **kw)``, its ValueError reported against ``where``."""
+    try:
+        return make(*args, **kw)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -77,7 +91,6 @@ class Scenario:
     """A parsed scenario.  ``devices`` are templates: every world gets its
     own copies, so one Scenario can be run under many seeds."""
 
-    schema_version: int
     mode: str
     local: MacId
     devices: list[RadioDevice]
@@ -94,11 +107,19 @@ class Scenario:
 
     def build_world(self, seed: int) -> SimWorld:
         """A fresh world; each device copies its template, with its own
-        services list and an empty inbox."""
+        services list and an empty inbox.  The templates were checked when
+        parsed, so the copies skip ``__post_init__``.  Setting the fields in
+        ``__init__``'s order keeps CPython's fast attribute layout, which
+        ``copy.copy`` loses."""
         world = SimWorld(seed=seed, params=self.radio,
                          loss_probability=self.loss_probability)
-        for d in self.devices:
-            world.add_device(replace(d, services=list(d.services), inbox={}))
+        for template in self.devices:
+            device = object.__new__(RadioDevice)
+            for name in _DEVICE_FIELDS:
+                setattr(device, name, getattr(template, name))
+            device.services = list(template.services)
+            device.inbox = {}
+            world.add_device(device)
         return world
 
     def resolve_payload(self) -> tuple[str, bytes]:
@@ -118,32 +139,26 @@ class Scenario:
 def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be a JSON object")
-    _check_keys(data, _SCENARIO_KEYS, "scenario")
-
-    version = _expect(data, "schema_version", int, "scenario")
-    if version != SCHEMA_VERSION:
+    f = _fields(data, _SCENARIO, "scenario",
+                required=("schema_version", "mode", "devices", "local"))
+    if f["schema_version"] != SCHEMA_VERSION:
         raise ScenarioError(
-            f"scenario.schema_version: {version} not supported "
+            f"scenario.schema_version: {f['schema_version']} not supported "
             f"(this build understands {SCHEMA_VERSION})")
-    mode = _expect(data, "mode", str, "scenario")
+    mode = f["mode"]
     if mode not in ("stepped", "proactive"):
         raise ScenarioError(f"scenario.mode: must be stepped or proactive, got {mode!r}")
-    seed = _expect(data, "seed", int, "scenario", default=None)
 
-    radio_obj = _expect(data, "radio", dict, "scenario", default={})
-    _check_keys(radio_obj, _RADIO_TYPES, "scenario.radio")
-    try:
-        radio = RadioParams(**_given(radio_obj, _RADIO_TYPES, "scenario.radio"))
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.radio: {exc}") from None
+    radio = _checked("scenario.radio", RadioParams,
+                     **_fields(f.get("radio", {}), _RADIO, "scenario.radio"))
 
-    loss = _expect(data, "loss_probability", (int, float), "scenario", default=0.0)
-    if not 0.0 <= float(loss) <= 1.0:
+    loss = float(f.get("loss_probability", 0.0))
+    if not 0.0 <= loss <= 1.0:
         raise ScenarioError("scenario.loss_probability: must be within [0, 1]")
 
-    devices = _parse_devices(_expect(data, "devices", list, "scenario"))
-    local = _parse_mac(_expect(data, "local", str, "scenario"), "scenario.local")
-    local_dev = next((d for d in devices if d.mac == local), None)
+    devices = _parse_devices(f["devices"])
+    local = _checked("scenario.local", MacId, f["local"])
+    local_dev = devices.get(local)
     if local_dev is None:
         raise ScenarioError(f"scenario.local: {local} is not in the device list")
     # A stepped walkthrough reports a powered-off client at step 1; a
@@ -151,150 +166,100 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
     if mode == "proactive" and not local_dev.powered:
         raise ScenarioError(f"scenario.local: initiator {local} is powered off")
 
-    roster = None
-    if data.get("roster") is not None:
-        roster = _parse_roster(_expect(data, "roster", dict, "scenario"))
+    roster = _parse_roster(f["roster"]) if "roster" in f else None
     if mode == "proactive" and roster is None:
         raise ScenarioError("scenario.roster: required for proactive mode")
 
-    file_name, payload, file_path = _parse_file(
-        _expect(data, "file", dict, "scenario", default={}))
+    file_name, payload, file_path = _parse_file(f.get("file", {}))
     if file_path is not None:
         file_path = os.path.join(base_dir, file_path)
 
-    interval = _expect(data, "inquiry_interval", int, "scenario",
-                       default=DEFAULT_INQUIRY_INTERVAL)
+    interval = f.get("inquiry_interval", DEFAULT_INQUIRY_INTERVAL)
     if interval <= 0:
         raise ScenarioError("scenario.inquiry_interval: must be positive")
 
     step_target = None
-    if data.get("step_target") is not None:
-        step_target = _parse_mac(_expect(data, "step_target", str, "scenario"),
-                                 "scenario.step_target")
+    if "step_target" in f:
+        step_target = _checked("scenario.step_target", MacId, f["step_target"])
 
     usage = None
-    if data.get("usage") is not None:
-        usage_obj = _expect(data, "usage", dict, "scenario")
-        _check_keys(usage_obj, _USAGE_KEYS, "scenario.usage")
-        try:
-            usage = CourseUsage(
-                students=_expect(usage_obj, "students", int, "scenario.usage"),
-                pages_per_student_week=_expect(usage_obj, "pages_per_week", int,
-                                               "scenario.usage"),
-                weeks=_expect(usage_obj, "weeks", int, "scenario.usage"))
-        except ValueError as exc:
-            raise ScenarioError(f"scenario.usage: {exc}") from None
+    if "usage" in f:
+        u = _fields(f["usage"], _USAGE, "scenario.usage", required=_USAGE)
+        usage = _checked("scenario.usage", CourseUsage,
+                         u["students"], u["pages_per_week"], u["weeks"])
 
     return Scenario(
-        schema_version=version, mode=mode, local=local, devices=devices,
-        seed=seed, radio=radio, loss_probability=float(loss), roster=roster,
+        mode=mode, local=local, devices=list(devices.values()), seed=f.get("seed"),
+        radio=radio, loss_probability=loss, roster=roster,
         file_name=file_name, file_payload=payload, file_path=file_path,
         inquiry_interval=interval, step_target=step_target, usage=usage)
 
 
-def _parse_mac(text: str, where: str) -> MacId:
-    try:
-        return MacId(text)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-
-
-def _parse_devices(items: list) -> list[RadioDevice]:
-    devices: list[RadioDevice] = []
-    seen: set[MacId] = set()
+def _parse_devices(items: list) -> dict[MacId, RadioDevice]:
+    devices: dict[MacId, RadioDevice] = {}
     for i, obj in enumerate(items):
         where = f"scenario.devices[{i}]"
-        if not isinstance(obj, dict):
-            raise ScenarioError(f"{where}: expected an object")
-        _check_keys(obj, _DEVICE_KEYS, where)
-        mac = _parse_mac(_expect(obj, "mac", str, where), f"{where}.mac")
-        if mac in seen:
+        f = _fields(obj, _DEVICE, where, required=("mac", "name", "position"))
+        mac = _checked(f"{where}.mac", MacId, f.pop("mac"))
+        if mac in devices:
             raise ScenarioError(f"{where}.mac: duplicate MAC {mac}")
-        seen.add(mac)
-        pos = _expect(obj, "position", list, where)
-        if len(pos) != 2 or not all(isinstance(c, (int, float)) for c in pos):
+        pos = f.pop("position")
+        # The bound also refuses NaN, infinities and ints too large for a float.
+        if len(pos) != 2 or not all(isinstance(c, (int, float))
+                                    and abs(c) <= sys.float_info.max for c in pos):
             raise ScenarioError(f"{where}.position: expected [x, y] in meters")
-        services = _parse_services(
-            _expect(obj, "services", list, where, default=[]), mac, where)
-        try:
-            devices.append(RadioDevice(
-                mac=mac,
-                friendly_name=_expect(obj, "name", str, where),
-                position=(float(pos[0]), float(pos[1])),
-                services=services,
-                **_given(obj, _DEVICE_TYPES, where),
-            ))
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
+        services = _parse_services(f.pop("services", []), mac, where)
+        devices[mac] = _checked(where, RadioDevice, mac, f.pop("name"),
+                                (float(pos[0]), float(pos[1])),
+                                services=services, **f)
     if not devices:
         raise ScenarioError("scenario.devices: at least one device required")
     return devices
 
 
 def _parse_services(items: list, mac: MacId, where: str) -> list[ServiceRecord]:
-    records: list[ServiceRecord] = []
-    ids: set[int] = set()
+    records: dict[int, ServiceRecord] = {}
     for j, obj in enumerate(items):
         swhere = f"{where}.services[{j}]"
-        if not isinstance(obj, dict):
-            raise ScenarioError(f"{swhere}: expected an object")
-        _check_keys(obj, _SERVICE_KEYS, swhere)
-        sid = _expect(obj, "id", int, swhere)
-        if sid in ids:
-            raise ScenarioError(f"{swhere}.id: duplicate service id {sid}")
-        ids.add(sid)
-        try:
-            url = ConnectionUrl(
-                scheme=_expect(obj, "scheme", str, swhere, default="http"),
-                mac=mac,
-                channel=_expect(obj, "channel", int, swhere, default=1),
-                path=_expect(obj, "path", str, swhere, default=""))
-            records.append(ServiceRecord(sid, _expect(obj, "name", str, swhere), url))
-        except ValueError as exc:
-            raise ScenarioError(f"{swhere}: {exc}") from None
-    return records
+        f = _fields(obj, _SERVICE, swhere, required=("id", "name"))
+        if f["id"] in records:
+            raise ScenarioError(f"{swhere}.id: duplicate service id {f['id']}")
+        url = _checked(swhere, ConnectionUrl, f.get("scheme", "http"), mac,
+                       f.get("channel", 1), f.get("path", ""))
+        records[f["id"]] = _checked(swhere, ServiceRecord, f["id"], f["name"], url)
+    return list(records.values())
 
 
 def _parse_roster(obj: dict) -> Roster:
     where = "scenario.roster"
-    _check_keys(obj, _ROSTER_KEYS, where)
-    members = _expect(obj, "members", list, where)
+    f = _fields(obj, _ROSTER, where,
+                required=("members", "course_id", "course_start"))
     macs = []
-    for i, m in enumerate(members):
+    for i, m in enumerate(f["members"]):
         if not isinstance(m, str):
             raise ScenarioError(f"{where}.members[{i}]: expected a MAC string")
-        macs.append(_parse_mac(m, f"{where}.members[{i}]"))
+        macs.append(_checked(f"{where}.members[{i}]", MacId, m))
     if len(set(macs)) != len(macs):
         raise ScenarioError(f"{where}.members: duplicate MACs")
-    try:
-        return Roster(
-            course_id=_expect(obj, "course_id", str, where),
-            members=frozenset(macs),
-            course_start=_expect(obj, "course_start", int, where),
-            **_given(obj, _ROSTER_TYPES, where),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+    f["members"] = frozenset(macs)
+    return _checked(where, Roster, **f)
 
 
 def _parse_file(obj: dict) -> tuple[str, bytes | None, str | None]:
     where = "scenario.file"
-    _check_keys(obj, _FILE_KEYS, where)
-    text = _expect(obj, "text", str, where, default=None)
-    hex_text = _expect(obj, "hex", str, where, default=None)
-    path = _expect(obj, "path", str, where, default=None)
-    if sum(x is not None for x in (text, hex_text, path)) > 1:
+    f = _fields(obj, _FILE, where)
+    if len(f.keys() & {"text", "hex", "path"}) > 1:
         raise ScenarioError(f"{where}: give exactly one of text, hex, path")
     payload: bytes | None = None
-    if text is not None:
-        payload = text.encode("utf-8")
-    elif hex_text is not None:
+    if "text" in f:
+        payload = f["text"].encode("utf-8")
+    elif "hex" in f:
         try:
-            payload = bytes.fromhex(hex_text)
+            payload = bytes.fromhex(f["hex"])
         except ValueError:
             raise ScenarioError(f"{where}.hex: not valid hex") from None
-    default_name = os.path.basename(path) if path else StepConfig.file_name
-    name = _expect(obj, "name", str, where, default=default_name)
+    path = f.get("path")
+    name = f.get("name", os.path.basename(path) if path else StepConfig.file_name)
     if not name:
         raise ScenarioError(f"{where}.name: must be non-empty")
     try:

@@ -231,6 +231,33 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mutate,literal,error", [
+    (lambda d: d.update(radio={"range_m": "@"}), "NaN",
+     "scenario.radio.range_m: expected a finite number"),
+    (lambda d: d.update(radio={"range_m": "@"}), "1e400",
+     "scenario.radio.range_m: expected a finite number"),
+    (lambda d: d.update(loss_probability="@"), "NaN",
+     "scenario.loss_probability: expected a finite number"),
+    (lambda d: d["devices"][1].update(position="@"), "[Infinity, 0]",
+     "scenario.devices[1].position: expected [x, y] in meters"),
+    (lambda d: d["devices"][1].update(position="@"), "[1%s, 0]" % ("0" * 400),
+     "scenario.devices[1].position: expected [x, y] in meters"),
+], ids=["range-nan", "range-1e400", "loss-nan", "position-inf",
+        "position-huge-int"])
+def test_non_finite_numbers_are_refused(capsys, tmp_path, mutate, literal,
+                                        error):
+    """A number no finite float holds is refused by ``validate`` and ``run``
+    alike.  A NaN range or an infinite position once let ``run`` discover
+    nobody, and an infinite range put every device in range."""
+    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    mutate(data)
+    path = tmp_path / "non_finite.scn"
+    path.write_text(json.dumps(data).replace('"@"', literal))
+    for command in ("validate", "run"):
+        code, _, err = run_cli(capsys, command, str(path))
+        assert (code, err) == (1, f"error: {error}\n")
+
+
 @pytest.mark.parametrize("fixture,key", [
     ("fig6_classroom", "roster"), ("fig6_classroom", "step_target"),
     ("fig6_classroom", "usage"), ("live_test", "step_target"),

@@ -1,10 +1,13 @@
 """Scenario files: strict schema, fixtures, validation diagnostics."""
 
+import collections
 import dataclasses
 import json
+import os
 
 import pytest
 
+from pidsim import simnet
 from pidsim.errors import ScenarioError
 from pidsim.obexlite import DEFAULT_MAX_PACKET, first_frame_capacity
 from pidsim.pidctl import run_proactive
@@ -14,7 +17,7 @@ from pidsim.scenario import (
     shipped_fixture_names,
     shipped_fixture_path,
 )
-from pidsim.simnet import MacId, RadioDevice
+from pidsim.simnet import MacId, RadioDevice, RadioParams
 
 from .conftest import ftp_record
 
@@ -156,10 +159,19 @@ def test_parse_rejects_invalid_mac_string():
 
 
 def test_parse_allows_notes_everywhere():
-    data = _minimal(notes="top")
+    data = _minimal(
+        notes="top", radio={"notes": "radio note"},
+        roster={"course_id": "X", "members": [], "course_start": 0,
+                "window_before": 0, "notes": "roster note"},
+        usage={"students": 1, "pages_per_week": 1, "weeks": 1,
+               "notes": "usage note"})
     data["devices"][0]["notes"] = "device note"
+    data["devices"][0]["services"] = [{"id": 1, "name": "FTP",
+                                       "notes": "service note"}]
+    data["file"]["notes"] = "file note"
     sc = parse_scenario(data)
     assert sc.local == "001122334455"
+    assert sc.radio == RadioParams()
 
 
 def test_load_reports_json_error_with_line(tmp_path):
@@ -231,6 +243,31 @@ def test_build_world_is_fresh_each_time():
     assert "reason=link-lost" in logs[0]
     assert logs[0] == logs[1]
     assert sc.devices[1].drop_transfers == 1
+
+
+def test_build_world_makes_no_device_check(monkeypatch):
+    """The templates were checked when the scenario was parsed, so building
+    a world copies them without a MAC check or ``RadioDevice.__post_init__``."""
+    sc = load_scenario(os.path.join(os.path.dirname(__file__), "data",
+                                    "classroom200.scn"))
+    calls = collections.Counter()
+    real_mac, real_post_init = simnet.MacId, RadioDevice.__post_init__
+
+    def counting_mac(value):
+        calls["MacId"] += 1
+        return real_mac(value)
+
+    def counting_post_init(self):
+        calls["__post_init__"] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(simnet, "MacId", counting_mac)
+    monkeypatch.setattr(RadioDevice, "__post_init__", counting_post_init)
+    world = sc.build_world(0)
+    assert len(world.devices) == len(sc.devices) == 201
+    assert calls == {}
+    dataclasses.replace(sc.devices[0])  # the counters do see a checked copy
+    assert calls == {"MacId": 1, "__post_init__": 1}
 
 
 def test_scenario_radio_overrides():
