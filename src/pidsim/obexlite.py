@@ -32,11 +32,17 @@ only the opening frame with ``encode_frame``, and ``wire_frames`` writes
 every continuation frame as a fixed 6-byte prefix plus a view of the
 payload, the same bytes ``encode_frame`` gives for ``put_frames``.
 ``decode_frame`` and the server share one prefix check (``_frame_prefix``)
-and one header walker (``_headers``).
+and one header walker (``_headers``), which walks the whole frame and
+returns its headers as a list, so a malformed frame raises before the
+server's state changes.  ``serve_push`` then runs the reassembly state
+machine itself.  The session reads the opcode of each reply from a table
+of the four encoded responses and parses any other reply in full, so a
+malformed one still raises.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -166,26 +172,27 @@ def encode_frame(frame: ObexFrame) -> bytes:
     return bytes([frame.opcode]) + total.to_bytes(2, "big") + bytes(body)
 
 
+_PREFIX = struct.Struct(">BH")  # opcode, declared length
+
+
 def _frame_prefix(data: bytes | memoryview,
                   whole: bool = False) -> tuple[int, int, int]:
     """Check a frame's prefix; return (opcode, declared length, header offset).
 
     With ``whole``, ``data`` must hold exactly the one frame.
     """
-    if len(data) < FRAME_PREFIX:
+    size = len(data)
+    if size < FRAME_PREFIX:
         raise ProtocolError("truncated-frame: need at least 3 bytes")
-    opcode = data[0]
-    total = data[1] << 8 | data[2]
+    opcode, total = _PREFIX.unpack_from(data)
     if opcode not in KNOWN_OPCODES:
         raise ProtocolError(f"unknown-opcode: {opcode:#04x}")
     if total < FRAME_PREFIX:
         raise ProtocolError("length-mismatch: declared length below minimum")
-    if len(data) < total:
-        raise ProtocolError(
-            f"truncated-frame: declared {total} bytes, have {len(data)}")
-    if whole and len(data) > total:
-        raise ProtocolError(
-            f"length-mismatch: declared {total} bytes, have {len(data)}")
+    if size < total:
+        raise ProtocolError(f"truncated-frame: declared {total} bytes, have {size}")
+    if whole and size > total:
+        raise ProtocolError(f"length-mismatch: declared {total} bytes, have {size}")
     if opcode != CONNECT:
         return opcode, total, FRAME_PREFIX
     if total < FRAME_PREFIX + CONNECT_BLOCK_SIZE:
@@ -198,12 +205,15 @@ _HEADER_TYPES = {HDR_NAME: Name, HDR_LENGTH: Length, HDR_BODY: Body,
 
 
 def _headers(view: memoryview, pos: int,
-             total: int) -> Iterator[tuple[int, str | int | memoryview]]:
-    """Walk the headers in ``view[pos:total]``, yielding (header id, value).
+             total: int) -> list[tuple[int, str | int | memoryview]]:
+    """The headers in ``view[pos:total]`` as (header id, value) pairs.
 
     A Name value is its ASCII text, a uint32 header its int, and a
     Body/EndOfBody value a view of the frame, so no chunk is copied here.
+    The whole frame is walked before any pair is returned, so a malformed
+    header raises before a caller has acted on the ones ahead of it.
     """
+    found = []
     while pos < total:
         hid = view[pos]
         if hid in (HDR_NAME, HDR_BODY, HDR_END_OF_BODY):
@@ -214,20 +224,22 @@ def _headers(view: memoryview, pos: int,
             if pos > total:
                 raise ProtocolError("length-mismatch: header value overruns frame")
             if hid != HDR_NAME:
-                yield hid, view[start:pos]
+                found.append((hid, view[start:pos]))
                 continue
             try:
                 text = str(view[start:pos], "ascii")
             except UnicodeDecodeError:
                 raise ProtocolError("name is not ASCII") from None
-            yield hid, text
+            found.append((hid, text))
         elif hid in (HDR_LENGTH, HDR_CONNECTION_ID):
             if pos + U32_HEADER_SIZE > total:
                 raise ProtocolError("length-mismatch: header value overruns frame")
-            yield hid, int.from_bytes(view[pos + 1:pos + U32_HEADER_SIZE], "big")
+            found.append(
+                (hid, int.from_bytes(view[pos + 1:pos + U32_HEADER_SIZE], "big")))
             pos += U32_HEADER_SIZE
         else:
             raise ProtocolError(f"unknown-header-id: {hid:#04x}")
+    return found
 
 
 def decode_frame(data: bytes) -> tuple[ObexFrame, bytes]:
@@ -337,6 +349,7 @@ def wire_frames(name: str, payload: bytes, max_packet: int) -> Iterator[bytes]:
 
 _RESPONSES = {opcode: encode_frame(ObexFrame(opcode))
               for opcode in (CONTINUE, SUCCESS, BAD_REQUEST, FORBIDDEN)}
+_RESPONSE_OPCODES = {raw: opcode for opcode, raw in _RESPONSES.items()}
 _CONNECT_FRAME = encode_frame(ObexFrame(CONNECT, (), ConnectInfo()))
 _DISCONNECT_FRAME = encode_frame(ObexFrame(DISCONNECT))
 
@@ -357,59 +370,56 @@ class ObexServer:
         """Handle the bytes of one client frame; return the response's bytes.
 
         ``raw`` must hold exactly one frame; a malformed one raises the
-        ``ProtocolError`` that ``decode_frame`` raises for it.  The response
-        is Continue for non-final PUT, Success after the final one (at which
-        point the reassembled payload lands in the device inbox), Forbidden
-        when the device refuses pushes, BadRequest on a malformed sequence.
+        ``ProtocolError`` that ``decode_frame`` raises for it, before the
+        server's state is touched.  The response is Continue for non-final
+        PUT, Success after the final one (at which point the reassembled
+        payload lands in the device inbox), Forbidden when the device
+        refuses pushes, BadRequest on a malformed sequence.
         """
         view = memoryview(raw)
         opcode, total, pos = _frame_prefix(view, whole=True)
-        return _RESPONSES[self._serve(opcode, list(_headers(view, pos, total)))]
-
-    def _serve(self, opcode: int, headers: list) -> int:
-        """The response opcode for one parsed client frame."""
-        if not self.device.powered:
-            raise PoweredOffError(f"{self.device.mac} is powered off")
+        headers = _headers(view, pos, total)
+        device = self.device
+        if not device.powered:
+            raise PoweredOffError(f"{device.mac} is powered off")
         if opcode in (CONNECT, DISCONNECT):
             self._reset()
-            return SUCCESS
+            return _RESPONSES[SUCCESS]
         if opcode not in (PUT, PUT_FINAL):
-            return BAD_REQUEST
-        if self.device.refuse_push:
+            return _RESPONSES[BAD_REQUEST]
+        if device.refuse_push:
             self._reset()
-            return FORBIDDEN
+            return _RESPONSES[FORBIDDEN]
 
+        name, chunks = self._name, self._chunks
         final = opcode == PUT_FINAL
         end_seen = False
         for hid, value in headers:
             if hid == HDR_NAME:
-                if self._name is not None or end_seen or not value:
-                    self._reset()
-                    return BAD_REQUEST
-                self._name = value
+                if name is not None or end_seen or not value:
+                    break
+                name = value
             elif hid == HDR_BODY:
-                if self._name is None or end_seen:
-                    self._reset()
-                    return BAD_REQUEST
-                self._chunks.append(value)
+                if name is None or end_seen:
+                    break
+                chunks.append(value)
             elif hid == HDR_END_OF_BODY:
-                if self._name is None or end_seen or not final:
-                    self._reset()
-                    return BAD_REQUEST
-                self._chunks.append(value)
+                if name is None or end_seen or not final:
+                    break
+                chunks.append(value)
                 end_seen = True
             # Length and ConnectionId are advisory metadata.
-        if final:
-            if self._name is None or not end_seen:
+        else:
+            # EndOfBody is taken only after a Name and only in a final frame.
+            if end_seen:
+                device.inbox[name] = b"".join(chunks)
                 self._reset()
-                return BAD_REQUEST
-            self.device.inbox[self._name] = b"".join(self._chunks)
-            self._reset()
-            return SUCCESS
-        if self._name is None:
-            self._reset()
-            return BAD_REQUEST
-        return CONTINUE
+                return _RESPONSES[SUCCESS]
+            if not final and name is not None:
+                self._name = name
+                return _RESPONSES[CONTINUE]
+        self._reset()
+        return _RESPONSES[BAD_REQUEST]
 
 
 # -- client side -------------------------------------------------------------
@@ -448,10 +458,18 @@ class PushSession:
         self.server = ObexServer(world.device(link.slave))
 
     def _exchange(self, raw: bytes) -> int:
-        """Send one frame's bytes; return the response's opcode."""
+        """Send one frame's bytes; return the response's opcode.
+
+        The four responses the server sends are looked up; any other reply
+        is parsed, so a malformed one raises ``ProtocolError``.
+        """
         if len(raw) > DEFAULT_MAX_PACKET:
             raise ProtocolError("frame exceeds the packet size")
-        return _frame_prefix(self.server.serve_push(raw), whole=True)[0]
+        resp = self.server.serve_push(raw)
+        opcode = _RESPONSE_OPCODES.get(resp)
+        if opcode is None:
+            opcode = _frame_prefix(resp, whole=True)[0]
+        return opcode
 
     def push_file(self, name: str, payload: bytes) -> TransferOutcome:
         """Send one named payload and close the link; advances sim time by

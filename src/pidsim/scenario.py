@@ -4,7 +4,8 @@ A scenario is a JSON document (conventionally ``*.scn``) gated by
 ``schema_version``.  Each of its blocks has one table of its fields and
 their JSON types, and ``_fields`` checks a block against it in one pass:
 unknown keys anywhere are an error so that typos never silently change a
-run, ``notes`` is allowed in every block, and every number must be finite.
+run, ``notes`` is allowed in every block, every number must be finite and
+every string encodable as UTF-8.
 The full schema is documented in the README.
 """
 
@@ -51,8 +52,9 @@ def _fields(obj, spec: dict, where: str, required=()) -> dict:
     """The fields that block ``obj`` sets to a non-null value, read against
     ``spec`` in one pass: unknown keys and missing ``required`` ones are
     refused first, then any value of the wrong type.  A bool never counts as
-    int or float, a float must be finite, and a required field set to null
-    is refused as mistyped."""
+    int or float, a float must be finite, a string must be encodable as
+    UTF-8 (a lone surrogate such as JSON's ``"\\ud800"`` is not), and a
+    required field set to null is refused as mistyped."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object")
     unknown = sorted(set(obj).difference(spec, ("notes",)))
@@ -74,6 +76,11 @@ def _fields(obj, spec: dict, where: str, required=()) -> dict:
             raise ScenarioError(f"{where}.{key}: expected {expected}, got {got}")
         if type(value) is float and not math.isfinite(value):
             raise ScenarioError(f"{where}.{key}: expected a finite number")
+        if type(value) is str and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ScenarioError(f"{where}.{key}: not encodable as UTF-8") from None
         found[key] = value
     return found
 

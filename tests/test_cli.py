@@ -258,6 +258,20 @@ def test_non_finite_numbers_are_refused(capsys, tmp_path, mutate, literal,
         assert (code, err) == (1, f"error: {error}\n")
 
 
+def test_string_not_encodable_as_utf8_is_refused(capsys, tmp_path):
+    """A lone surrogate once passed ``validate`` and then made ``run
+    --report`` fail while writing the log, without naming the field."""
+    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    data["devices"][1]["name"] = "\ud800"
+    path = tmp_path / "surrogate.scn"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "run"):
+        code, _, err = run_cli(capsys, command, str(path), *(
+            ("--report", str(tmp_path / "out")) if command == "run" else ()))
+        assert (code, err) == (
+            1, "error: scenario.devices[1].name: not encodable as UTF-8\n")
+
+
 @pytest.mark.parametrize("fixture,key", [
     ("fig6_classroom", "roster"), ("fig6_classroom", "step_target"),
     ("fig6_classroom", "usage"), ("live_test", "step_target"),

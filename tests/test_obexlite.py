@@ -1,9 +1,10 @@
 """Push protocol: codec bijection, chunking, server reassembly, sessions."""
 
 import random
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pidsim import obexlite
@@ -234,6 +235,40 @@ def test_serve_push_rejects_bytes_after_the_declared_frame():
     with pytest.raises(ProtocolError, match="length-mismatch"):
         server.serve_push(raw)
     assert server.device.inbox == {}
+
+
+@given(st.binary(max_size=64))
+@example(encode_frame(ObexFrame(PUT, (Body(b"ab"),))))
+@example(encode_frame(ObexFrame(PUT, (Body(b"ab"),))) + b"\x00")
+@example(encode_frame(ObexFrame(PUT, (Body(b"ab"), Name("")))))
+@example(bytes([PUT, 0x00, 0x09, 0x48, 0x00, 0x02]) + b"ab\x7f")
+def test_serve_push_rejects_exactly_what_decode_frame_rejects(raw):
+    try:
+        rest = decode_frame(raw)[1]
+    except ProtocolError as exc:
+        want = str(exc)
+    else:
+        want = None if rest == b"" else "length-mismatch"
+    server = _server()
+    opening, final = put_frames("f.bin", bytes(100), 96)
+    assert _respond(server, opening).opcode == CONTINUE
+    try:
+        resp = server.serve_push(raw)
+    except ProtocolError as exc:
+        got = str(exc)
+    else:
+        got = None
+        assert resp in {encode_frame(ObexFrame(op))
+                        for op in (CONTINUE, SUCCESS, BAD_REQUEST)}
+    if want == "length-mismatch":
+        assert got == f"length-mismatch: declared {len(raw) - len(rest)} " \
+                      f"bytes, have {len(raw)}"
+    else:
+        assert got == want
+    if got is not None:
+        # A rejected frame leaves the mid-sequence server untouched.
+        assert _respond(server, final).opcode == SUCCESS
+        assert server.device.inbox == {"f.bin": bytes(100)}
 
 
 def test_encode_rejects_unknown_opcode():
@@ -630,3 +665,78 @@ def test_push_file_closes_the_link_when_it_raises():
         PushSession(w, link).push_file("", b"abc")
     assert not link.open
     assert w.device(mac(1)).inbox == {}
+
+
+class _StubServer:
+    """A real server whose replies ``reply(put_number, response)`` may
+    replace, counting the PUT frames it is sent from 0."""
+
+    def __init__(self, device, reply):
+        self.inner = ObexServer(device)
+        self.device = device
+        self.reply = reply
+        self.puts = 0
+
+    def serve_push(self, raw):
+        resp = self.inner.serve_push(raw)
+        if raw[0] not in (PUT, PUT_FINAL):
+            return resp
+        self.puts += 1
+        return self.reply(self.puts - 1, resp)
+
+
+def test_push_file_fails_on_a_bad_request_mid_sequence():
+    w, link = _linked_world()
+    session = PushSession(w, link)
+    bad = encode_frame(ObexFrame(BAD_REQUEST))
+    session.server = _StubServer(
+        session.server.device, lambda n, resp: bad if n == 3 else resp)
+    outcome = session.push_file("cpi.txt", bytes(10_000))
+    assert outcome.status == "link-lost" and outcome.frames_sent == 4
+    failed = [e for e in w.log if e.name == "transfer_failed"]
+    assert [dict(e.fields)["reason"] for e in failed] == ["response_0xc0"]
+    assert not any(e.name == "transfer_completed" for e in w.log)
+    assert w.device(mac(1)).inbox == {}
+    assert not link.open
+
+
+def test_push_file_rejects_a_reply_with_a_trailing_byte():
+    w, link = _linked_world()
+    session = PushSession(w, link)
+    session.server = _StubServer(session.server.device,
+                                 lambda n, resp: resp + b"\x00")
+    with pytest.raises(ProtocolError,
+                       match="^length-mismatch: declared 3 bytes, have 4$"):
+        session.push_file("cpi.txt", bytes(10_000))
+    assert session.server.puts == 1
+    assert not link.open
+
+
+def _counted_push(size: int) -> tuple[int, int]:
+    """(Python calls, frames sent) of one delivered push of ``size`` bytes."""
+    w, link = _linked_world()
+    session = PushSession(w, link)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        outcome = session.push_file("cpi.txt", bytes(size))
+    finally:
+        sys.setprofile(previous)
+    assert outcome.delivered
+    return calls, outcome.frames_sent
+
+
+def test_each_continuation_frame_costs_at_most_five_python_calls():
+    # The frame generator's resume, _exchange, serve_push, the prefix check
+    # and the header walk; the response is looked up, not parsed.
+    calls_1, frames_1 = _counted_push(50_000)
+    calls_2, frames_2 = _counted_push(200_000)
+    assert frames_2 > frames_1
+    assert (calls_2 - calls_1) / (frames_2 - frames_1) <= 5

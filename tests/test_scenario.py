@@ -142,6 +142,21 @@ def test_parse_rejects_non_ascii_file_name():
         parse_scenario(_minimal(file={"path": "docs/h\u00e9.txt"}))
 
 
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: d["devices"][0].update(name="a\ud800"), "scenario.devices[0].name"),
+    (lambda d: d["file"].update(text="\udfff"), "scenario.file.text"),
+    (lambda d: d.update(mode="proactive", roster={
+        "course_id": "\ud800NCP", "members": [], "course_start": 0}),
+     "scenario.roster.course_id"),
+], ids=["device-name", "file-text", "course-id"])
+def test_parse_rejects_strings_not_encodable_as_utf8(mutate, field):
+    data = _minimal()
+    mutate(data)
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(json.loads(json.dumps(data)))
+    assert str(exc.value) == f"{field}: not encodable as UTF-8"
+
+
 def test_parse_rejects_file_name_too_long_for_packet():
     longest = "x" * first_frame_capacity("", DEFAULT_MAX_PACKET)
     assert parse_scenario(_minimal(file={"name": longest, "text": "x"})) \
