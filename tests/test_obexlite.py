@@ -1,5 +1,6 @@
 """Push protocol: codec bijection, chunking, server reassembly, sessions."""
 
+import gc
 import random
 import sys
 
@@ -723,12 +724,20 @@ def _counted_push(size: int) -> tuple[int, int]:
         if event == "call":
             calls += 1
 
+    # A collection during the push would resume finalizers of other tests'
+    # garbage (unclosed generators, __del__) and count their calls as the
+    # push's; collect first and hold the collector off while counting.
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         outcome = session.push_file("cpi.txt", bytes(size))
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     assert outcome.delivered
     return calls, outcome.frames_sent
 
