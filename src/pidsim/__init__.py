@@ -34,6 +34,7 @@ from .obexlite import (
     ObexFrame,
     ObexServer,
     PushSession,
+    PutSequence,
     TransferOutcome,
     decode_frame,
     encode_frame,

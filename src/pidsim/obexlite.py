@@ -23,14 +23,17 @@ When the whole payload fits in one frame the sequence is a single
 PUT_FINAL carrying Name + Length + EndOfBody.
 
 ``encode_frame``, ``decode_frame`` and ``ObexFrame`` are the normative codec.
-A push attempt is one call, ``PushSession.push_file``: CONNECT, the PUT
-sequence, DISCONNECT after a delivery, and the link closed on every path.
+A file's PUT sequence is encoded once, as a ``PutSequence``: the bytes of
+every frame, from ``wire_frames``, each checked against the packet size.
+A push attempt is one call, ``PushSession.push_file(sequence)``: CONNECT,
+the PUT sequence, DISCONNECT after a delivery, and the link closed on
+every path; it encodes nothing, so every attempt replays the same frames.
 The session and the server exchange raw frames: ``ObexServer.serve_push``
 takes the bytes of one frame and returns the bytes of its response.  The
-CONNECT and DISCONNECT frames are module constants; the session encodes
-only the opening frame with ``encode_frame``, and ``wire_frames`` writes
-every continuation frame as a fixed 6-byte prefix plus a view of the
-payload, the same bytes ``encode_frame`` gives for ``put_frames``.
+CONNECT and DISCONNECT frames are module constants; ``wire_frames``
+encodes only the opening frame with ``encode_frame`` and writes every
+continuation frame as a fixed 6-byte prefix plus a view of the payload,
+the same bytes ``encode_frame`` gives for ``put_frames``.
 ``decode_frame`` and the server share one prefix check (``_frame_prefix``)
 and one header walker (``_headers``), which walks the whole frame and
 returns its headers as a list, so a malformed frame raises before the
@@ -344,6 +347,29 @@ def wire_frames(name: str, payload: bytes, max_packet: int) -> Iterator[bytes]:
         + view[last:]
 
 
+@dataclass(frozen=True)
+class PutSequence:
+    """A named file's PUT sequence as the bytes of its frames.
+
+    Encode it once per file with ``PutSequence.encode``; every push attempt
+    then sends these same frames.
+    """
+
+    name: str
+    size: int  # payload bytes
+    frames: tuple[bytes, ...]
+
+    @classmethod
+    def encode(cls, name: str, payload: bytes) -> PutSequence:
+        """``wire_frames`` at ``DEFAULT_MAX_PACKET``, each frame checked
+        against the packet size."""
+        frames = tuple(wire_frames(name, payload, DEFAULT_MAX_PACKET))
+        for raw in frames:
+            if len(raw) > DEFAULT_MAX_PACKET:
+                raise ProtocolError("frame exceeds the packet size")
+        return cls(name, len(payload), frames)
+
+
 # -- server side ------------------------------------------------------------
 
 
@@ -457,22 +483,27 @@ class PushSession:
         self.link = link
         self.server = ObexServer(world.device(link.slave))
 
-    def _exchange(self, raw: bytes) -> int:
-        """Send one frame's bytes; return the response's opcode.
+    def _exchange(self, frames: tuple[bytes, ...]) -> tuple[int, int]:
+        """Send ``frames`` in order until a reply is not Continue; return
+        (frames sent, the last reply's opcode).
 
         The four responses the server sends are looked up; any other reply
         is parsed, so a malformed one raises ``ProtocolError``.
         """
-        if len(raw) > DEFAULT_MAX_PACKET:
-            raise ProtocolError("frame exceeds the packet size")
-        resp = self.server.serve_push(raw)
-        opcode = _RESPONSE_OPCODES.get(resp)
-        if opcode is None:
-            opcode = _frame_prefix(resp, whole=True)[0]
-        return opcode
+        serve = self.server.serve_push
+        sent = 0
+        for raw in frames:
+            resp = serve(raw)
+            sent += 1
+            opcode = _RESPONSE_OPCODES.get(resp)
+            if opcode is None:
+                opcode = _frame_prefix(resp, whole=True)[0]
+            if opcode != CONTINUE:
+                break
+        return sent, opcode
 
-    def push_file(self, name: str, payload: bytes) -> TransferOutcome:
-        """Send one named payload and close the link; advances sim time by
+    def push_file(self, seq: PutSequence) -> TransferOutcome:
+        """Send one encoded file and close the link; advances sim time by
         the transfer duration.
 
         Departures processed inside that window close the link and fail the
@@ -482,37 +513,35 @@ class PushSession:
         try:
             if not self.link.open:
                 raise SimError("link is closed")
-            if not name:
-                raise ValueError("file name must be non-empty")
-            self._exchange(_CONNECT_FRAME)
-            outcome = self._put(name, payload)
+            self._exchange((_CONNECT_FRAME,))
+            outcome = self._put(seq)
             if outcome.delivered:
-                self._exchange(_DISCONNECT_FRAME)
+                self._exchange((_DISCONNECT_FRAME,))
             return outcome
         finally:
             if self.link.open:
                 self.world.disconnect(self.link)
 
-    def _put(self, name: str, payload: bytes) -> TransferOutcome:
+    def _put(self, seq: PutSequence) -> TransferOutcome:
         """The PUT sequence of ``push_file``, on a connected session."""
         world = self.world
         slave = self.link.slave
         device = self.server.device
+        name, size = seq.name, seq.size
         started = world.now
-        world.emit("transfer_started", mac=slave, file=name, bytes=len(payload))
+        world.emit("transfer_started", mac=slave, file=name, bytes=size)
 
         if device.refuse_push:
             # Refusal comes back on the first frame: only the session
-            # overhead is spent, and only that frame is built.
+            # overhead is spent, and only that frame is sent.
             world.advance(started + world.params.session_overhead)
-            resp = self._exchange(
-                next(wire_frames(name, payload, DEFAULT_MAX_PACKET)))
+            sent, resp = self._exchange(seq.frames[:1])
             assert resp == FORBIDDEN
             world.emit("transfer_failed", mac=slave, file=name, reason="refused")
-            return TransferOutcome("refused", name, len(payload), 1,
+            return TransferOutcome("refused", name, size, sent,
                                    started, world.now)
 
-        world.advance(started + transfer_duration(len(payload), world.params))
+        world.advance(started + transfer_duration(size, world.params))
         lost = not (self.link.open and device.powered
                     and device.present_at(world.now))
         if not lost and device.drop_transfers > 0:
@@ -525,20 +554,16 @@ class PushSession:
             lost = True
         if lost:
             world.emit("transfer_failed", mac=slave, file=name, reason="link-lost")
-            return TransferOutcome("link-lost", name, len(payload), 0,
+            return TransferOutcome("link-lost", name, size, 0,
                                    started, world.now)
 
-        sent = 0
-        for raw in wire_frames(name, payload, DEFAULT_MAX_PACKET):
-            resp = self._exchange(raw)
-            sent += 1
-            expected = SUCCESS if raw[0] == PUT_FINAL else CONTINUE
-            if resp != expected:
-                world.emit("transfer_failed", mac=slave, file=name,
-                           reason=f"response_{resp:#04x}")
-                return TransferOutcome("link-lost", name, len(payload), sent,
-                                       started, world.now)
+        sent, resp = self._exchange(seq.frames)
+        if sent < len(seq.frames) or resp != SUCCESS:
+            world.emit("transfer_failed", mac=slave, file=name,
+                       reason=f"response_{resp:#04x}")
+            return TransferOutcome("link-lost", name, size, sent,
+                                   started, world.now)
         world.emit("transfer_completed", mac=slave, file=name,
-                   bytes=len(payload), frames=sent)
-        return TransferOutcome("delivered", name, len(payload), sent,
+                   bytes=size, frames=sent)
+        return TransferOutcome("delivered", name, size, sent,
                                started, world.now)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import OutOfRangeError, PiconetFullError, PoweredOffError
-from .obexlite import PushSession, TransferOutcome
+from .obexlite import PushSession, PutSequence, TransferOutcome
 from .sdp import (
     ServiceCatalog,
     ServiceRecord,
@@ -187,17 +187,17 @@ def choose_push_target(ftp: set[MacId], state: SessionState) -> list[MacId]:
 
 
 def _attempt_push(world: SimWorld, local: MacId, target: MacId,
-                  file_name: str, payload: bytes) -> TransferOutcome:
+                  seq: PutSequence) -> TransferOutcome:
     """Open a link and push over it; status connect-failed when the link
     never opened."""
     try:
         link = world.connect(local, target)
     except (OutOfRangeError, PoweredOffError, PiconetFullError):
-        world.emit("transfer_failed", mac=target, file=file_name,
+        world.emit("transfer_failed", mac=target, file=seq.name,
                    reason="connect-failed")
-        return TransferOutcome("connect-failed", file_name, len(payload), 0,
+        return TransferOutcome("connect-failed", seq.name, seq.size, 0,
                                world.now, world.now)
-    return PushSession(world, link).push_file(file_name, payload)
+    return PushSession(world, link).push_file(seq)
 
 
 def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
@@ -210,9 +210,7 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
     Members are served exactly once; non-members are never served; link
     failures are retried on later passes up to the roster's retry budget.
     """
-    file_name, payload = file
-    if not file_name:
-        raise ValueError("file name must be non-empty")
+    seq = PutSequence.encode(*file)  # every attempt sends these frames
     if inquiry_interval <= 0:
         raise ValueError("inquiry_interval must be positive")
     # Kept only because perfbench/runner.py passes params=scenario.radio.
@@ -271,7 +269,7 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
         targets = choose_push_target(ftp, state)
         delivered_now = 0
         for mac in targets:
-            outcome = _attempt_push(world, local, mac, file_name, payload)
+            outcome = _attempt_push(world, local, mac, seq)
             if outcome.delivered:
                 state.close(mac, DELIVERED, world.now)
                 delivered_now += 1
@@ -427,7 +425,8 @@ def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
     url = report.ftp_targets[target].connection_url
     say(f"Pushing {file_name!r} ({len(payload)} bytes) to "
         f"{world.device(target).friendly_name} via {url.render()}")
-    outcome = _attempt_push(world, local, target, file_name, payload)
+    outcome = _attempt_push(world, local, target,
+                            PutSequence.encode(file_name, payload))
     report.outcome = outcome
     if outcome.delivered:
         report.delivered_to = target

@@ -211,8 +211,9 @@ def _parse_devices(items: list) -> dict[MacId, RadioDevice]:
         if mac in devices:
             raise ScenarioError(f"{where}.mac: duplicate MAC {mac}")
         pos = f.pop("position")
-        # The bound also refuses NaN, infinities and ints too large for a float.
-        if len(pos) != 2 or not all(isinstance(c, (int, float))
+        # The bound also refuses NaN, infinities and ints too large for a
+        # float; a bool is refused like in every other number field.
+        if len(pos) != 2 or not all(type(c) in (int, float)
                                     and abs(c) <= sys.float_info.max for c in pos):
             raise ScenarioError(f"{where}.position: expected [x, y] in meters")
         services = _parse_services(f.pop("services", []), mac, where)

@@ -272,6 +272,19 @@ def test_string_not_encodable_as_utf8_is_refused(capsys, tmp_path):
             1, "error: scenario.devices[1].name: not encodable as UTF-8\n")
 
 
+def test_boolean_position_is_refused(capsys, tmp_path):
+    """``[true, 1]`` once parsed to (1.0, 1.0), while every other number
+    field refused a boolean."""
+    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    data["devices"][1]["position"] = [True, 1]
+    path = tmp_path / "bool_position.scn"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "run"):
+        code, _, err = run_cli(capsys, command, str(path))
+        assert (code, err) == (
+            1, "error: scenario.devices[1].position: expected [x, y] in meters\n")
+
+
 @pytest.mark.parametrize("fixture,key", [
     ("fig6_classroom", "roster"), ("fig6_classroom", "step_target"),
     ("fig6_classroom", "usage"), ("live_test", "step_target"),

@@ -29,6 +29,7 @@ from pidsim.obexlite import (
     ObexFrame,
     ObexServer,
     PushSession,
+    PutSequence,
     continuation_capacity,
     decode_frame,
     encode_frame,
@@ -559,36 +560,40 @@ def _linked_world(**target_kwargs):
     return w, link
 
 
-def _recording_exchange(monkeypatch):
-    """Record the opcode of every frame a session sends."""
+def _recording_sends(monkeypatch):
+    """Record the bytes of every frame a session sends."""
     sent = []
 
-    def exchange(self, raw, _exchange=PushSession._exchange):
-        sent.append(raw[0])
-        return _exchange(self, raw)
+    def serve_push(self, raw, _serve=ObexServer.serve_push):
+        sent.append(raw)
+        return _serve(self, raw)
 
-    monkeypatch.setattr(PushSession, "_exchange", exchange)
+    monkeypatch.setattr(ObexServer, "serve_push", serve_push)
     return sent
+
+
+def _push(session, name, payload):
+    return session.push_file(PutSequence.encode(name, payload))
 
 
 def test_push_file_stores_payload_verbatim(monkeypatch):
     w, link = _linked_world()
-    sent = _recording_exchange(monkeypatch)
+    sent = _recording_sends(monkeypatch)
     payload = b"A" * 5000
-    outcome = PushSession(w, link).push_file("cpi.txt", payload)
+    outcome = _push(PushSession(w, link), "cpi.txt", payload)
     assert outcome.delivered
     assert w.device(mac(1)).inbox["cpi.txt"] == payload
     assert outcome.frames_sent == len(put_frames("cpi.txt", payload, 1024))
     assert outcome.duration == 100 + -(-5000 * 8 * 1000 // 3_000_000)
     # one call is the whole session: CONNECT, the PUT sequence, DISCONNECT
-    assert sent == [CONNECT] + [PUT] * (outcome.frames_sent - 1) \
-        + [PUT_FINAL, DISCONNECT]
+    assert [raw[0] for raw in sent] \
+        == [CONNECT] + [PUT] * (outcome.frames_sent - 1) + [PUT_FINAL, DISCONNECT]
     assert not link.open
 
 
 def test_push_file_empty_payload_one_frame():
     w, link = _linked_world()
-    outcome = PushSession(w, link).push_file("cpi.txt", b"")
+    outcome = _push(PushSession(w, link), "cpi.txt", b"")
     assert outcome.delivered and outcome.frames_sent == 1
     assert w.device(mac(1)).inbox["cpi.txt"] == b""
     assert not link.open
@@ -596,20 +601,30 @@ def test_push_file_empty_payload_one_frame():
 
 def test_push_file_refused_no_inbox_entry(monkeypatch):
     w, link = _linked_world(refuse_push=True)
-    sent = _recording_exchange(monkeypatch)
-    outcome = PushSession(w, link).push_file("cpi.txt", b"data")
+    sent = _recording_sends(monkeypatch)
+    outcome = _push(PushSession(w, link), "cpi.txt", b"data")
     assert outcome.status == "refused"
     assert w.device(mac(1)).inbox == {}
     # refusal comes back on the first frame: only session overhead elapsed
     assert outcome.duration == w.params.session_overhead
     # a failed push sends no DISCONNECT, but the link is closed
-    assert sent == [CONNECT, PUT_FINAL]
+    assert [raw[0] for raw in sent] == [CONNECT, PUT_FINAL]
     assert not link.open
 
 
-def test_refused_push_builds_and_encodes_only_the_opening_frame(monkeypatch):
+def test_put_sequence_is_the_wire_frames_checked_against_the_packet_size():
+    payload = random.Random(4).randbytes(5000)
+    seq = PutSequence.encode("cpi.txt", payload)
+    assert seq.name == "cpi.txt" and seq.size == len(payload)
+    assert list(seq.frames) == list(wire_frames("cpi.txt", payload,
+                                                DEFAULT_MAX_PACKET))
+    assert max(map(len, seq.frames)) == DEFAULT_MAX_PACKET
+    with pytest.raises(ValueError, match="non-empty"):
+        PutSequence.encode("", b"abc")
+
+
+def test_refused_push_sends_only_the_opening_frame(monkeypatch):
     w, link = _linked_world(refuse_push=True)
-    session = PushSession(w, link)
     encoded = []
 
     def recording_encode(frame, _encode=obexlite.encode_frame):
@@ -618,18 +633,25 @@ def test_refused_push_builds_and_encodes_only_the_opening_frame(monkeypatch):
 
     monkeypatch.setattr(obexlite, "encode_frame", recording_encode)
     payload = SliceCounter(bytes(64 << 10))
-    assert _frame_count("cpi.txt", len(payload), 1024) > 1
-    outcome = session.push_file("cpi.txt", payload)
+    seq = PutSequence.encode("cpi.txt", payload)
+    assert len(seq.frames) > 1
+    sent = _recording_sends(monkeypatch)
+    outcome = PushSession(w, link).push_file(seq)
     assert outcome.status == "refused" and outcome.frames_sent == 1
+    assert outcome.duration == w.params.session_overhead
+    assert sent[1:] == [seq.frames[0]] and sent[1] is seq.frames[0]
+    # only the opening frame goes through the codec, and only when the
+    # sequence is encoded: the push itself encodes and slices nothing
     assert [f.opcode for f in encoded] == [PUT]
     assert payload.tally[0] == first_frame_capacity("cpi.txt", 1024)
 
 
-def test_push_file_slices_the_payload_only_for_the_opening_frame():
+def test_put_sequence_slices_the_payload_only_for_the_opening_frame():
     w, link = _linked_world()
-    session = PushSession(w, link)
     payload = SliceCounter(random.Random(9).randbytes(100 << 10))
-    outcome = session.push_file("cpi.txt", payload)
+    seq = PutSequence.encode("cpi.txt", payload)
+    assert payload.tally[0] <= first_frame_capacity("cpi.txt", DEFAULT_MAX_PACKET)
+    outcome = PushSession(w, link).push_file(seq)
     assert outcome.delivered
     assert w.device(mac(1)).inbox["cpi.txt"] == payload
     assert payload.tally[0] <= first_frame_capacity("cpi.txt", DEFAULT_MAX_PACKET)
@@ -640,30 +662,31 @@ def test_push_file_link_lost_when_target_departs_mid_transfer(monkeypatch):
     w.add_device(make_device(mac(1), "target", 2.0, 0.0, departure=150,
                              services=[ftp_record(mac(1))]))
     link = w.connect(LOCAL, mac(1))
-    sent = _recording_exchange(monkeypatch)
+    sent = _recording_sends(monkeypatch)
     # 375 kB takes 1100 ms > the 150 ms the device sticks around
-    outcome = PushSession(w, link).push_file("big.bin", bytes(375_000))
+    outcome = _push(PushSession(w, link), "big.bin", bytes(375_000))
     assert outcome.status == "link-lost"
-    assert outcome.frames_sent == 0 and sent == [CONNECT]
+    assert outcome.frames_sent == 0 and [raw[0] for raw in sent] == [CONNECT]
     assert w.device(mac(1)).inbox == {}
     assert not link.open
 
 
 def test_push_file_scripted_drop_consumes_one_failure():
     w, link = _linked_world(drop_transfers=1)
-    outcome = PushSession(w, link).push_file("f.bin", b"abc")
+    outcome = _push(PushSession(w, link), "f.bin", b"abc")
     assert outcome.status == "link-lost"
     assert w.device(mac(1)).inbox == {}
     assert not link.open
     # the drop budget is spent: a fresh session succeeds
     link2 = w.connect(LOCAL, mac(1))
-    assert PushSession(w, link2).push_file("f.bin", b"abc").delivered
+    assert _push(PushSession(w, link2), "f.bin", b"abc").delivered
 
 
 def test_push_file_closes_the_link_when_it_raises():
     w, link = _linked_world()
-    with pytest.raises(ValueError, match="non-empty"):
-        PushSession(w, link).push_file("", b"abc")
+    w.device(mac(1)).powered = False  # the server raises on CONNECT
+    with pytest.raises(PoweredOffError):
+        _push(PushSession(w, link), "cpi.txt", b"abc")
     assert not link.open
     assert w.device(mac(1)).inbox == {}
 
@@ -692,7 +715,7 @@ def test_push_file_fails_on_a_bad_request_mid_sequence():
     bad = encode_frame(ObexFrame(BAD_REQUEST))
     session.server = _StubServer(
         session.server.device, lambda n, resp: bad if n == 3 else resp)
-    outcome = session.push_file("cpi.txt", bytes(10_000))
+    outcome = _push(session, "cpi.txt", bytes(10_000))
     assert outcome.status == "link-lost" and outcome.frames_sent == 4
     failed = [e for e in w.log if e.name == "transfer_failed"]
     assert [dict(e.fields)["reason"] for e in failed] == ["response_0xc0"]
@@ -708,7 +731,7 @@ def test_push_file_rejects_a_reply_with_a_trailing_byte():
                                  lambda n, resp: resp + b"\x00")
     with pytest.raises(ProtocolError,
                        match="^length-mismatch: declared 3 bytes, have 4$"):
-        session.push_file("cpi.txt", bytes(10_000))
+        _push(session, "cpi.txt", bytes(10_000))
     assert session.server.puts == 1
     assert not link.open
 
@@ -717,6 +740,7 @@ def _counted_push(size: int) -> tuple[int, int]:
     """(Python calls, frames sent) of one delivered push of ``size`` bytes."""
     w, link = _linked_world()
     session = PushSession(w, link)
+    seq = PutSequence.encode("cpi.txt", bytes(size))
     calls = 0
 
     def profile(frame, event, arg):
@@ -733,7 +757,7 @@ def _counted_push(size: int) -> tuple[int, int]:
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        outcome = session.push_file("cpi.txt", bytes(size))
+        outcome = session.push_file(seq)
     finally:
         sys.setprofile(previous)
         if collecting:
@@ -742,10 +766,10 @@ def _counted_push(size: int) -> tuple[int, int]:
     return calls, outcome.frames_sent
 
 
-def test_each_continuation_frame_costs_at_most_five_python_calls():
-    # The frame generator's resume, _exchange, serve_push, the prefix check
-    # and the header walk; the response is looked up, not parsed.
+def test_each_continuation_frame_costs_at_most_three_python_calls():
+    # serve_push, the prefix check and the header walk; the frame is
+    # encoded already and the response is looked up, not parsed.
     calls_1, frames_1 = _counted_push(50_000)
     calls_2, frames_2 = _counted_push(200_000)
     assert frames_2 > frames_1
-    assert (calls_2 - calls_1) / (frames_2 - frames_1) <= 5
+    assert (calls_2 - calls_1) / (frames_2 - frames_1) <= 3

@@ -2,10 +2,12 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import pytest
 
-from pidsim import pidctl, sdp, simnet
+from pidsim import obexlite, pidctl, sdp, simnet
+from pidsim.obexlite import CONNECT, PUT, PUT_FINAL, ObexServer
 from pidsim.errors import UnknownDeviceError
 from pidsim.pidctl import (
     DELIVERED,
@@ -379,6 +381,70 @@ def test_stepped_and_proactive_agree_on_static_world():
     roster = _roster([mac(1), mac(2), mac(3)])
     proactive = run_proactive(w2, roster, FILE, local=LOCAL)
     assert set(proactive.delivered_macs()) == candidates
+
+
+def _recording_encodes(monkeypatch):
+    """(names ``wire_frames`` encodes, frames sent grouped by session)."""
+    encoded, sessions = [], []
+
+    def wire_frames(name, payload, max_packet, _wire=obexlite.wire_frames):
+        encoded.append(name)
+        return _wire(name, payload, max_packet)
+
+    def serve_push(self, raw, _serve=ObexServer.serve_push):
+        if raw[0] == CONNECT:
+            sessions.append([])
+        elif raw[0] in (PUT, PUT_FINAL):
+            sessions[-1].append(raw)
+        return _serve(self, raw)
+
+    monkeypatch.setattr(obexlite, "wire_frames", wire_frames)
+    monkeypatch.setattr(ObexServer, "serve_push", serve_push)
+    return encoded, sessions
+
+
+def test_run_proactive_encodes_the_file_once(monkeypatch):
+    """Retries and a refusal replay one encoding: every attempt sends the
+    same frame objects, from the start of the one sequence."""
+    w, roster = _classroom(n_members=3)
+    w.device(mac(1)).drop_transfers = 2
+    w.device(mac(2)).refuse_push = True
+    encoded, sessions = _recording_encodes(monkeypatch)
+    report = run_proactive(w, roster, ("big.bin", bytes(5000)), local=LOCAL)
+    assert [(report.outcomes[m].outcome, report.outcomes[m].attempts)
+            for m in report.members] == [(DELIVERED, 2), (REFUSED, 0),
+                                         (DELIVERED, 0)]
+    assert encoded == ["big.bin"]
+    assert len(sessions) == 5  # two drops, one refusal, two deliveries
+    full = max(sessions, key=len)
+    assert len(full) > 1
+    assert sorted(map(len, sessions)) == [0, 0, 1, len(full), len(full)]
+    for frames in sessions:
+        assert all(sent is raw for sent, raw in zip(frames, full))
+
+
+def test_run_stepped_encodes_the_file_once(monkeypatch):
+    w = _office_world()
+    encoded, sessions = _recording_encodes(monkeypatch)
+    report = run_stepped(w, StepConfig(local=LOCAL, payload=bytes(5000)))
+    assert report.delivered_to == mac(3)
+    assert encoded == ["cpi.txt"] and len(sessions) == 1
+
+
+def test_run_holds_one_encoding_not_one_per_member():
+    """Traced memory of a run over a 256 KB payload: the members' inboxes,
+    the one held sequence and a margin, not a copy per member."""
+    members = 4
+    payload = bytes(256 << 10)
+    w, roster = _classroom(n_members=members)
+    tracemalloc.start()
+    try:
+        report = run_proactive(w, roster, ("big.bin", payload), local=LOCAL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.delivered_count == members
+    assert peak < (members + 3) * len(payload)
 
 
 def test_session_state_invariant_checks():
