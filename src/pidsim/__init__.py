@@ -6,7 +6,6 @@ roster-driven delivery loop, and the page/ream/tree savings arithmetic.
 """
 
 from .errors import (
-    MalformedUrlError,
     OutOfRangeError,
     PiconetFullError,
     PoweredOffError,
@@ -56,7 +55,6 @@ from .sdp import (
     ServiceCatalog,
     ServiceRecord,
     filter_ftp,
-    parse_url,
     search_services,
 )
 from .simnet import (

@@ -3,7 +3,7 @@
 Subcommands::
 
     pid-sim run <scenario.scn> [...] [--seed N] [--step] [--report DIR]
-                                [--log FILE] [--jobs N]
+                                [--log FILE]
     pid-sim validate <scenario.scn>
     pid-sim metrics --students N --pages N --weeks N
     pid-sim metrics --campus N --fraction P/Q --pages-each N
@@ -11,11 +11,12 @@ Subcommands::
 
 Exit code is 0 unless something went wrong internally or the input was
 invalid; undelivered roster members do not fail the process.  A scenario
-of a batch that fails prints one error line and sets the exit code to 1;
-the other scenarios still run and report.  --step and --log take exactly
-one scenario; with several, --report DIR keeps one log.txt per scenario.
-When neither --seed nor the scenario provides a seed, the PID_SIM_SEED
-environment variable is used, then 0.
+of a batch runs in argument order; one that fails prints one error line
+and sets the exit code to 1, and the others still run and report.
+--step and --log take exactly one scenario; with several, --report DIR
+keeps one log.txt per scenario in DIR/<file stem>/, so a batch whose
+scenarios share a file stem is refused before any runs.  The seed is
+--seed, else the scenario's own seed, else 0.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from . import __version__
 from .errors import ScenarioError, SimError
@@ -40,10 +39,8 @@ from .metrics import (
     savings_report,
 )
 from .pidctl import DeliveryReport, StepConfig, StepReport, run_proactive, run_stepped
-from .scenario import Scenario, load_scenario, shipped_fixture_path
+from .scenario import load_scenario, shipped_fixture_path
 from .simnet import SimWorld
-
-ENV_SEED = "PID_SIM_SEED"
 
 # Failures that end one scenario (or the command) with one ``error:`` line.
 _CLEAN_ERRORS = (SimError, ValueError, ZeroDivisionError, OSError)
@@ -82,8 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write log/report/savings files into DIR")
     run_p.add_argument("--log", metavar="FILE", default=None,
                        help="write the event log to FILE (one scenario only)")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="run up to N scenarios in parallel processes")
 
     val_p = sub.add_parser("validate", help="parse and validate a scenario file")
     val_p.add_argument("scenario")
@@ -112,25 +107,11 @@ def _resolve_scenario_path(arg: str) -> str:
         raise ScenarioError(f"no such scenario file or shipped fixture: {arg}") from None
 
 
-def _pick_seed(flag_seed: int | None, scenario: Scenario) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if scenario.seed is not None:
-        return scenario.seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ScenarioError(f"{ENV_SEED} is not an integer: {env!r}") from None
-    return 0
-
-
 def execute_scenario(path: str, seed_flag: int | None = None,
                      interactive: bool = False) -> RunArtifacts:
     """Run one scenario file and collect its artifacts."""
     scenario = load_scenario(path)
-    seed = _pick_seed(seed_flag, scenario)
+    seed = seed_flag if seed_flag is not None else scenario.seed or 0
     world = scenario.build_world(seed)
     lines: list[str] = [f"scenario={os.path.basename(path)} mode={scenario.mode} seed={seed}"]
 
@@ -185,17 +166,7 @@ def _run_one(path: str, seed_flag: int | None, report_dir: str | None,
     return out
 
 
-def _run_isolated(arg: str, **kwargs) -> tuple[str, str | None]:
-    """(stdout text, None), or ("", error message) if the scenario fails."""
-    try:
-        return _run_one(_resolve_scenario_path(arg), **kwargs), None
-    except _CLEAN_ERRORS as exc:
-        return "", str(exc)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
     if args.step:
         if len(args.scenarios) != 1:
             raise ScenarioError("--step runs exactly one scenario")
@@ -206,21 +177,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if subdir and args.log:
         raise ScenarioError("--log writes one scenario's log; "
                             "use --report DIR for several")
-    job = partial(_run_isolated, seed_flag=args.seed, report_dir=args.report,
-                  log_file=args.log, subdir=subdir)
-    # The pool starts all its workers at once: never more than the scenarios.
-    workers = min(args.jobs, len(args.scenarios))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, args.scenarios))
-    else:
-        results = map(job, args.scenarios)
+    if subdir and args.report:
+        stems = [os.path.splitext(os.path.basename(arg))[0] for arg in args.scenarios]
+        for stem in stems:
+            if stems.count(stem) > 1:
+                raise ScenarioError(f"--report DIR keeps one subdirectory per file "
+                                    f"stem; two scenarios share the stem {stem!r}")
     status = 0
-    for out, error in results:
-        if error is None:
-            sys.stdout.write(out)
-        else:
-            print(f"error: {error}", file=sys.stderr)
+    for arg in args.scenarios:
+        try:
+            sys.stdout.write(_run_one(_resolve_scenario_path(arg), args.seed,
+                                      args.report, args.log, subdir))
+        except _CLEAN_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
             status = 1
     return status
 
@@ -237,6 +206,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.pages_total is not None:
         pages = args.pages_total
+        if pages < 0:
+            raise ScenarioError("--pages-total must be non-negative")
         print(f"pages={pages}")
         print(f"reams={pages_to_reams(pages)}")
         print(f"trees={pages_to_trees(pages)}")

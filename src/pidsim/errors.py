@@ -21,10 +21,6 @@ class PiconetFullError(SimError):
     """A master already has the maximum number of active slaves."""
 
 
-class MalformedUrlError(SimError):
-    """Connection URL does not match scheme://MAC:channel/path."""
-
-
 class ProtocolError(SimError):
     """Framing or session-sequence violation in the push protocol."""
 

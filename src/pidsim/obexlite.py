@@ -274,35 +274,25 @@ def continuation_capacity(max_packet: int) -> int:
     return max_packet - FRAME_PREFIX - VALUE_HEADER_PREFIX
 
 
-def _capacities(name: str, max_packet: int) -> tuple[int, int]:
-    """(first, continuation) frame capacities, checked for a usable sequence."""
+def _sequence(name: str, payload: bytes,
+              max_packet: int) -> tuple[ObexFrame, int, range]:
+    """(opening frame, continuation capacity, continuation chunk offsets).
+
+    The opening frame holds Name + Length + the first chunk; the offsets
+    are empty exactly when it is final.
+    """
     if not name:
         raise ValueError("file name must be non-empty")
     first_cap = first_frame_capacity(name, max_packet)
     cont_cap = continuation_capacity(max_packet)
     if first_cap < 0 or cont_cap < 1:
         raise ProtocolError("name too long for the packet size")
-    return first_cap, cont_cap
-
-
-def _opening_frame(name: str, payload: bytes, first_cap: int) -> ObexFrame:
-    """Frame 0 of the PUT sequence: Name + Length + the first chunk."""
+    head = (Name(name), Length(len(payload)))
     if len(payload) <= first_cap:
-        return ObexFrame(PUT_FINAL,
-                         (Name(name), Length(len(payload)), EndOfBody(payload)))
-    return ObexFrame(PUT, (Name(name), Length(len(payload)),
-                           Body(payload[:first_cap])))
-
-
-def _sequence(name: str, payload: bytes,
-              max_packet: int) -> tuple[ObexFrame, int, range]:
-    """(opening frame, continuation capacity, continuation chunk offsets).
-
-    The offsets are empty exactly when the opening frame is final.
-    """
-    first_cap, cont_cap = _capacities(name, max_packet)
-    return (_opening_frame(name, payload, first_cap), cont_cap,
-            range(first_cap, len(payload), cont_cap))
+        opening = ObexFrame(PUT_FINAL, head + (EndOfBody(payload),))
+    else:
+        opening = ObexFrame(PUT, head + (Body(payload[:first_cap]),))
+    return opening, cont_cap, range(first_cap, len(payload), cont_cap)
 
 
 def put_frames(name: str, payload: bytes, max_packet: int) -> list[ObexFrame]:

@@ -291,6 +291,8 @@ def load_scenario(path: str) -> Scenario:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: parse error: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioError(f"{path}: parse error: nesting too deep") from None
     return parse_scenario(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

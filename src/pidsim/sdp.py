@@ -7,17 +7,14 @@ interpreted.  The file-transfer filter matches on the service name.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from .errors import MalformedUrlError, PoweredOffError
+from .errors import PoweredOffError
 from .simnet import MacId, SimWorld
 
 # Case-insensitive fragment a service name must contain to count as the
 # file-transfer profile.
 FTP_NAME_FRAGMENT = "file transfer"
-
-_CHANNEL_PATH = re.compile(r"(\d+)/(.*)", re.S)
 
 
 @dataclass(frozen=True)
@@ -36,28 +33,6 @@ class ConnectionUrl:
 
     def render(self) -> str:
         return f"{self.scheme}://{self.mac}:{self.channel}/{self.path}"
-
-
-def parse_url(text: str) -> ConnectionUrl:
-    """Inverse of ConnectionUrl.render on its image."""
-    if "://" not in text:
-        raise MalformedUrlError(f"missing scheme separator in {text!r}")
-    scheme, rest = text.split("://", 1)
-    if ":" not in rest:
-        raise MalformedUrlError(f"missing channel in {text!r}")
-    authority, tail = rest.split(":", 1)
-    m = _CHANNEL_PATH.fullmatch(tail)
-    if m is None:
-        raise MalformedUrlError(f"missing channel/path in {text!r}")
-    try:
-        mac = MacId(authority)
-    except ValueError:
-        raise MalformedUrlError(
-            f"authority is not a 12-hex-digit MAC in {text!r}") from None
-    try:
-        return ConnectionUrl(scheme, mac, int(m.group(1)), m.group(2))
-    except ValueError as exc:
-        raise MalformedUrlError(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ import os
 
 import pytest
 
-from pidsim import cli
 from pidsim.cli import main
 from pidsim.scenario import shipped_fixture_path
 from pidsim.simnet import SimWorld
@@ -53,15 +52,13 @@ def test_run_seed_flag_overrides(capsys):
     assert "seed=9" in out2
 
 
-def test_env_seed_fallback(capsys, tmp_path, monkeypatch):
+def test_seedless_scenario_runs_at_seed_zero(capsys, tmp_path, monkeypatch):
+    """The seed comes from --seed or the scenario, never the environment."""
     data = json.loads(open(shipped_fixture_path("fig6_classroom")).read())
     del data["seed"]
     path = tmp_path / "noseed.scn"
     path.write_text(json.dumps(data))
     monkeypatch.setenv("PID_SIM_SEED", "123")
-    _, out, _ = run_cli(capsys, "run", str(path))
-    assert "seed=123" in out
-    monkeypatch.delenv("PID_SIM_SEED")
     _, out, _ = run_cli(capsys, "run", str(path))
     assert "seed=0" in out
 
@@ -120,75 +117,72 @@ def test_fixture_name_with_scn_suffix_resolves(capsys):
     assert "5 devices discovered" in out
 
 
-def test_run_multiple_scenarios_with_jobs(capsys, tmp_path):
+def test_run_multiple_scenarios_writes_one_subdirectory_each(capsys, tmp_path):
     report_dir = tmp_path / "batch"
     code, out, _ = run_cli(capsys, "run", "fig6_classroom", "live_test",
-                           "--jobs", "2", "--report", str(report_dir))
+                           "--report", str(report_dir))
     assert code == 0
     assert (report_dir / "fig6_classroom" / "log.txt").exists()
     assert (report_dir / "live_test" / "report.txt").exists()
-    # outputs arrive in input order regardless of parallelism
+    # outputs arrive in argument order
     assert out.index("fig6_classroom") < out.index("live_test")
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("jobs, workers", [("2", [2]), ("3", [2]),
-                                           ("100000", [2]), ("1", [])])
-def test_jobs_never_asks_for_more_workers_than_scenarios(capsys, monkeypatch,
-                                                         jobs, workers):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    solo = [_strip_banner(run_cli(capsys, "run", name)[1])
-            for name in ("fig6_classroom", "live_test")]
-    code, out, err = run_cli(capsys, "run", "fig6_classroom", "live_test",
-                             "--jobs", jobs)
-    assert code == 0, err
-    assert _InProcessPool.sizes == workers
-    assert _strip_banner(out) == "".join(solo)
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_jobs_below_one_is_one_error_line(capsys, monkeypatch, jobs):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    code, out, err = run_cli(capsys, "run", "fig6_classroom", "live_test",
-                             "--jobs", jobs)
+@pytest.mark.parametrize("names", [("a/x.scn", "b/x.scn"),
+                                   ("live_test", "live_test.scn")])
+def test_report_refuses_scenarios_that_share_a_file_stem(capsys, tmp_path, names):
+    """Both would write DIR/<stem>/, and the second would overwrite the first."""
+    args = []
+    for name in names:
+        if "/" in name:
+            (tmp_path / name).parent.mkdir()
+            (tmp_path / name).write_text(
+                open(shipped_fixture_path("live_test")).read())
+            name = str(tmp_path / name)
+        args.append(name)
+    code, out, err = run_cli(capsys, "run", *args, "--report", str(tmp_path / "out"))
     assert code == 1
-    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert err.count("\n") == 1 and err.startswith("error: --report ")
     assert _strip_banner(out) == ""
-    assert _InProcessPool.sizes == []
+    assert not (tmp_path / "out").exists()  # nothing ran
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_bad_scenario_in_a_batch_keeps_the_good_reports(capsys, tmp_path, jobs):
+def _missing_file_scenario(tmp_path):
     data = json.loads(open(shipped_fixture_path("late_arrival")).read())
     data["file"] = {"path": "nope.txt"}
     bad = tmp_path / "missing_file.scn"
     bad.write_text(json.dumps(data))
+    return bad, f"file-not-found: {tmp_path / 'nope.txt'}"
+
+
+def _deeply_nested_scenario(tmp_path):
+    bad = tmp_path / "deep.scn"
+    bad.write_text("[" * 200_000 + "]" * 200_000)
+    return bad, f"{bad}: parse error: nesting too deep"
+
+
+@pytest.mark.parametrize("first, make_bad", [
+    ("late_arrival", _missing_file_scenario),
+    ("live_test", _deeply_nested_scenario),
+], ids=["missing-file", "deep-nesting"])
+def test_bad_scenario_in_a_batch_keeps_the_good_reports(capsys, tmp_path, first,
+                                                        make_bad):
+    bad, error = make_bad(tmp_path)
     solo = [_strip_banner(run_cli(capsys, "run", name)[1])
-            for name in ("late_arrival", "fig6_classroom")]
-    code, out, err = run_cli(capsys, "run", "late_arrival", str(bad),
-                             "fig6_classroom", "--jobs", jobs)
+            for name in (first, "fig6_classroom")]
+    code, out, err = run_cli(capsys, "run", first, str(bad), "fig6_classroom")
     assert code == 1
     assert _strip_banner(out) == "".join(solo)
-    assert err == f"error: file-not-found: {tmp_path / 'nope.txt'}\n"
+    assert err == f"error: {error}\n"
+
+
+def test_deeply_nested_json_is_one_error_line(capsys, tmp_path):
+    """``json.loads`` raises RecursionError on it, which once escaped as a
+    traceback from both commands."""
+    bad, error = _deeply_nested_scenario(tmp_path)
+    for command in ("validate", "run"):
+        code, _, err = run_cli(capsys, command, str(bad))
+        assert (code, err) == (1, f"error: {error}\n")
 
 
 def test_validate_ok(capsys):
@@ -381,6 +375,12 @@ def test_metrics_pages_total_form(capsys):
     assert code == 0
     assert "reams=16" in out
     assert "trees=1" in out
+
+
+def test_metrics_rejects_negative_pages_total(capsys):
+    code, out, err = run_cli(capsys, "metrics", "--pages-total", "-5")
+    assert (code, err) == (1, "error: --pages-total must be non-negative\n")
+    assert _strip_banner(out) == ""
 
 
 def test_metrics_zero_inputs(capsys):

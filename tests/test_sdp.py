@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pidsim.errors import MalformedUrlError, UnknownDeviceError
+from pidsim.errors import UnknownDeviceError
 from pidsim.sdp import (
     ConnectionUrl,
     ServiceCatalog,
     ServiceRecord,
     filter_ftp,
-    parse_url,
     search_services,
 )
 from pidsim.simnet import MacId, start_inquiry
@@ -19,49 +18,6 @@ from .conftest import LOCAL, ftp_record, make_device, make_world, mac, plain_rec
 
 
 # -- URLs -------------------------------------------------------------------
-
-
-def test_parse_mac_from_published_url():
-    assert parse_url("http://00179A235EDD:8001/obex/").mac == "00179A235EDD"
-
-
-def test_parse_mac_trivial_url():
-    assert parse_url("btgoep://000000000000:1/x").mac == "000000000000"
-
-
-def test_parse_rejects_bad_authority():
-    with pytest.raises(MalformedUrlError):
-        parse_url("http://ZZ179A235EDD:8001/obex/")
-
-
-@pytest.mark.parametrize("text", [
-    "no-scheme-separator",
-    "http://00179A235EDD",          # no channel
-    "http://00179A235EDD:8001",     # no path separator
-    "http://00179A235EDD:0/x",      # channel must be positive
-    "http://00179A235EDD:x/y",      # channel not numeric
-])
-def test_parse_rejects_malformed(text):
-    with pytest.raises(MalformedUrlError):
-        parse_url(text)
-
-
-def test_parse_lowercase_mac_canonicalizes():
-    url = parse_url("http://00179a235edd:8001/obex/")
-    assert url.mac == "00179A235EDD"
-
-
-_schemes = st.text(alphabet="abcdefghijklmnopqrstuvwxyz+-.0123456789",
-                   min_size=1, max_size=10)
-_macs = st.text(alphabet="0123456789ABCDEF", min_size=12, max_size=12)
-_paths = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
-                 max_size=30)
-
-
-@given(_schemes, _macs, st.integers(1, 65_535), _paths)
-def test_url_round_trip(scheme, mac_text, channel, path):
-    url = ConnectionUrl(scheme, MacId(mac_text), channel, path)
-    assert parse_url(url.render()) == url
 
 
 def test_connection_url_validation():
