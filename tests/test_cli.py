@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +10,17 @@ from pidsim.cli import main
 from pidsim.scenario import shipped_fixture_path
 from pidsim.simnet import SimWorld
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _fixture_data(name: str) -> dict:
+    return json.loads(Path(shipped_fixture_path(name)).read_text())
 
 
 def _strip_banner(out: str) -> str:
@@ -54,7 +61,7 @@ def test_run_seed_flag_overrides(capsys):
 
 def test_seedless_scenario_runs_at_seed_zero(capsys, tmp_path, monkeypatch):
     """The seed comes from --seed or the scenario, never the environment."""
-    data = json.loads(open(shipped_fixture_path("fig6_classroom")).read())
+    data = _fixture_data("fig6_classroom")
     del data["seed"]
     path = tmp_path / "noseed.scn"
     path.write_text(json.dumps(data))
@@ -104,11 +111,9 @@ def test_run_log_is_byte_identical_across_runs(capsys, tmp_path):
 
 
 def test_run_log_matches_frozen_golden_file(capsys, tmp_path):
-    golden = os.path.join(os.path.dirname(__file__), "data",
-                          "fig6_classroom_seed42.log")
     log = tmp_path / "run.log"
     run_cli(capsys, "run", "fig6_classroom", "--log", str(log))
-    assert log.read_bytes() == open(golden, "rb").read()
+    assert log.read_bytes() == (DATA / "fig6_classroom_seed42.log").read_bytes()
 
 
 def test_fixture_name_with_scn_suffix_resolves(capsys):
@@ -137,7 +142,7 @@ def test_report_refuses_scenarios_that_share_a_file_stem(capsys, tmp_path, names
         if "/" in name:
             (tmp_path / name).parent.mkdir()
             (tmp_path / name).write_text(
-                open(shipped_fixture_path("live_test")).read())
+                Path(shipped_fixture_path("live_test")).read_text())
             name = str(tmp_path / name)
         args.append(name)
     code, out, err = run_cli(capsys, "run", *args, "--report", str(tmp_path / "out"))
@@ -148,7 +153,7 @@ def test_report_refuses_scenarios_that_share_a_file_stem(capsys, tmp_path, names
 
 
 def _missing_file_scenario(tmp_path):
-    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    data = _fixture_data("late_arrival")
     data["file"] = {"path": "nope.txt"}
     bad = tmp_path / "missing_file.scn"
     bad.write_text(json.dumps(data))
@@ -214,7 +219,7 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
          "scenario.local: initiator 001122334455 is powered off"),
     ]
     for mutate, where in gaps:
-        data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+        data = _fixture_data("late_arrival")
         mutate(data)
         path.write_text(json.dumps(data))
         for command in ("validate", "run"):
@@ -243,7 +248,7 @@ def test_non_finite_numbers_are_refused(capsys, tmp_path, mutate, literal,
     """A number no finite float holds is refused by ``validate`` and ``run``
     alike.  A NaN range or an infinite position once let ``run`` discover
     nobody, and an infinite range put every device in range."""
-    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    data = _fixture_data("late_arrival")
     mutate(data)
     path = tmp_path / "non_finite.scn"
     path.write_text(json.dumps(data).replace('"@"', literal))
@@ -255,7 +260,7 @@ def test_non_finite_numbers_are_refused(capsys, tmp_path, mutate, literal,
 def test_string_not_encodable_as_utf8_is_refused(capsys, tmp_path):
     """A lone surrogate once passed ``validate`` and then made ``run
     --report`` fail while writing the log, without naming the field."""
-    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    data = _fixture_data("late_arrival")
     data["devices"][1]["name"] = "\ud800"
     path = tmp_path / "surrogate.scn"
     path.write_text(json.dumps(data))
@@ -269,7 +274,7 @@ def test_string_not_encodable_as_utf8_is_refused(capsys, tmp_path):
 def test_boolean_position_is_refused(capsys, tmp_path):
     """``[true, 1]`` once parsed to (1.0, 1.0), while every other number
     field refused a boolean."""
-    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    data = _fixture_data("late_arrival")
     data["devices"][1]["position"] = [True, 1]
     path = tmp_path / "bool_position.scn"
     path.write_text(json.dumps(data))
@@ -285,7 +290,7 @@ def test_boolean_position_is_refused(capsys, tmp_path):
     ("live_test", "usage")])
 def test_null_optional_block_reads_as_left_out(capsys, tmp_path, fixture, key):
     """An optional block set to null takes its default, as the README says."""
-    data = json.loads(open(shipped_fixture_path(fixture)).read())
+    data = _fixture_data(fixture)
     data.pop(key, None)
     path = tmp_path / "block.scn"
     outputs = []
@@ -299,7 +304,7 @@ def test_null_optional_block_reads_as_left_out(capsys, tmp_path, fixture, key):
 
 
 def test_null_roster_is_still_required_for_proactive_mode(capsys, tmp_path):
-    data = json.loads(open(shipped_fixture_path("live_test")).read())
+    data = _fixture_data("live_test")
     data["roster"] = None
     path = tmp_path / "no_roster.scn"
     path.write_text(json.dumps(data))
@@ -321,7 +326,7 @@ def test_unwritable_output_is_one_error_line(capsys, tmp_path, flag, target):
 
 
 def _live_test_with_file_name(tmp_path, name):
-    data = json.loads(open(shipped_fixture_path("live_test")).read())
+    data = _fixture_data("live_test")
     data["file"]["name"] = name
     path = tmp_path / "named.scn"
     path.write_text(json.dumps(data))
@@ -377,6 +382,28 @@ def test_metrics_pages_total_form(capsys):
     assert "trees=1" in out
 
 
+@pytest.mark.parametrize("args, expected", [
+    (("--students", "18", "--pages", "3", "--weeks", "17"),
+     "assumptions students=18 pages_per_student_week=3 weeks=17\n"
+     "pages_per_week=54\npages=918\nreams=2\ntrees=0\n"),
+    (("--campus", "800", "--fraction", "1/4", "--pages-each", "1836"),
+     "assumptions instructors=800 heavy_fraction=1/4 pages_each=1836\n"
+     "pages=367200\nreams=708\ntrees=44\n"),
+    (("--pages-total", "8300"), "pages=8300\nreams=16\ntrees=1\n"),
+    # --pages-total wins over --campus, which wins over the course form.
+    (("--pages-total", "10", "--campus", "4", "--pages-each", "1"),
+     "pages=10\nreams=0\ntrees=0\n"),
+    (("--campus", "4", "--fraction", "1/2", "--pages-each", "1",
+      "--students", "1", "--pages", "1", "--weeks", "1"),
+     "assumptions instructors=4 heavy_fraction=1/2 pages_each=1\n"
+     "pages=2\nreams=0\ntrees=0\n"),
+], ids=["course", "campus", "pages-total", "pages-total-first", "campus-first"])
+def test_metrics_prints_exact_lines(capsys, args, expected):
+    code, out, err = run_cli(capsys, "metrics", *args)
+    assert (code, err) == (0, "")
+    assert _strip_banner(out) == expected
+
+
 def test_metrics_rejects_negative_pages_total(capsys):
     code, out, err = run_cli(capsys, "metrics", "--pages-total", "-5")
     assert (code, err) == (1, "error: --pages-total must be non-negative\n")
@@ -411,6 +438,50 @@ def test_step_mode_gates_on_input(capsys, monkeypatch, tmp_path):
     assert "Step 8." in out
 
 
+def _feed_enters(monkeypatch) -> list[str]:
+    prompts: list[str] = []
+
+    def fake_input(prompt=""):
+        prompts.append(prompt)
+        return ""
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    return prompts
+
+
+def test_step_matches_the_golden_and_writes_report_and_log(capsys, monkeypatch,
+                                                           tmp_path):
+    """The walkthrough prints the golden report live, minus its scenario=
+    line, and --report/--log write the same files as an unattended run."""
+    _feed_enters(monkeypatch)
+    report = (DATA / "fig6_classroom_seed42.report").read_bytes()
+    log = (DATA / "fig6_classroom_seed42.log").read_bytes()
+    code, out, err = run_cli(capsys, "run", "fig6_classroom", "--step")
+    assert (code, err) == (0, "")
+    assert _strip_banner(out).encode() == report.split(b"\n", 1)[1]
+
+    out_dir, log_file = tmp_path / "out", tmp_path / "x.log"
+    code, out_with_files, err = run_cli(capsys, "run", "fig6_classroom", "--step",
+                                        "--report", str(out_dir),
+                                        "--log", str(log_file))
+    assert (code, err) == (0, "")
+    assert out_with_files == out
+    assert (out_dir / "report.txt").read_bytes() == report
+    assert (out_dir / "log.txt").read_bytes() == log
+    assert log_file.read_bytes() == log
+
+
+def test_step_with_several_scenarios_is_refused_before_any_runs(capsys, monkeypatch,
+                                                                tmp_path):
+    prompts = _feed_enters(monkeypatch)
+    code, out, err = run_cli(capsys, "run", "fig6_classroom", "fig6_classroom",
+                             "--step", "--report", str(tmp_path / "out"))
+    assert (code, err) == (1, "error: --step runs exactly one scenario\n")
+    assert _strip_banner(out) == ""
+    assert prompts == []
+    assert os.listdir(tmp_path) == []
+
+
 def test_log_with_several_scenarios_is_one_error_line(capsys, tmp_path):
     log = tmp_path / "x.log"
     code, out, err = run_cli(capsys, "run", "fig6_classroom", "late_arrival",
@@ -429,7 +500,7 @@ def test_step_flag_rejected_for_proactive(capsys):
 
 def test_exit_code_zero_with_undelivered_members(capsys, tmp_path):
     # an unreachable roster member must not fail the process
-    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    data = _fixture_data("late_arrival")
     data["devices"] = [d for d in data["devices"]
                        if d["mac"] != "0019E3A20002"]
     path = tmp_path / "absent.scn"

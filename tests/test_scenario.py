@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -246,7 +247,7 @@ def test_build_world_is_fresh_each_time():
     assert w2.device("00179A235EDD").inbox == {}
 
     # A run consumes its world's drop budget, never the parsed template's.
-    data = json.loads(open(shipped_fixture_path("late_arrival")).read())
+    data = json.loads(Path(shipped_fixture_path("late_arrival")).read_text())
     data["devices"][1]["drop_transfers"] = 1
     sc = parse_scenario(data)
     logs = []
