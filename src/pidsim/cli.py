@@ -16,7 +16,9 @@ and sets the exit code to 1, and the others still run and report.
 --step and --log take exactly one scenario; with several, --report DIR
 keeps one log.txt per scenario in DIR/<file stem>/, so a batch whose
 scenarios share a file stem is refused before any runs.  The seed is
---seed, else the scenario's own seed, else 0.
+--seed, else the scenario's own seed, else 0.  --step walks through a
+stepped scenario, then writes --report/--log like any run; input that
+ends early is one error line and writes no file.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__
 from .errors import ScenarioError, SimError
@@ -121,10 +124,12 @@ def execute_scenario(path: str, seed_flag: int | None = None,
                             payload=scenario.file_payload,
                             file_path=scenario.file_path,
                             target=scenario.step_target,
-                            interactive=interactive)
-        report = run_stepped(world, config)
-        if interactive:
-            return RunArtifacts([], world, report)  # lines already printed live
+                            ask=input if interactive else None)
+        try:
+            report = run_stepped(world, config)
+        except EOFError:
+            raise ScenarioError("--step: input ended before the walkthrough "
+                                "finished") from None
         lines.extend(report.lines)
         return RunArtifacts(lines, world, report)
 
@@ -143,51 +148,40 @@ def execute_scenario(path: str, seed_flag: int | None = None,
 
 
 def _run_one(path: str, seed_flag: int | None, report_dir: str | None,
-             log_file: str | None, subdir: bool) -> str:
-    artifacts = execute_scenario(path, seed_flag)
+             log_file: str | None, interactive: bool) -> str:
+    artifacts = execute_scenario(path, seed_flag, interactive)
     out = artifacts.report_text()
     # Rendering is the log's main cost: do it once for both files.
     log = artifacts.log_text() if log_file or report_dir else ""
     if log_file:
-        with open(log_file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(log)
+        Path(log_file).write_text(log, encoding="utf-8", newline="\n")
     if report_dir:
-        target = report_dir
-        if subdir:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            target = os.path.join(report_dir, stem)
-        os.makedirs(target, exist_ok=True)
-        with open(os.path.join(target, "log.txt"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(log)
-        with open(os.path.join(target, "report.txt"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(out)
-    return out
+        os.makedirs(report_dir, exist_ok=True)
+        for name, text in (("log.txt", log), ("report.txt", out)):
+            Path(report_dir, name).write_text(text, encoding="utf-8", newline="\n")
+    return "" if interactive else out  # the walkthrough printed its lines live
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.step:
-        if len(args.scenarios) != 1:
-            raise ScenarioError("--step runs exactly one scenario")
-        execute_scenario(_resolve_scenario_path(args.scenarios[0]), args.seed,
-                         interactive=True)
-        return 0
-    subdir = len(args.scenarios) > 1
-    if subdir and args.log:
+    stems = [os.path.splitext(os.path.basename(arg))[0] for arg in args.scenarios]
+    batch = len(stems) > 1
+    if batch and args.step:
+        raise ScenarioError("--step runs exactly one scenario")
+    if batch and args.log:
         raise ScenarioError("--log writes one scenario's log; "
                             "use --report DIR for several")
-    if subdir and args.report:
-        stems = [os.path.splitext(os.path.basename(arg))[0] for arg in args.scenarios]
+    if batch and args.report:
         for stem in stems:
             if stems.count(stem) > 1:
                 raise ScenarioError(f"--report DIR keeps one subdirectory per file "
                                     f"stem; two scenarios share the stem {stem!r}")
     status = 0
-    for arg in args.scenarios:
+    for arg, stem in zip(args.scenarios, stems):
+        report_dir = (os.path.join(args.report, stem) if batch and args.report
+                      else args.report)
         try:
             sys.stdout.write(_run_one(_resolve_scenario_path(arg), args.seed,
-                                      args.report, args.log, subdir))
+                                      report_dir, args.log, args.step))
         except _CLEAN_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             status = 1
@@ -208,31 +202,24 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         pages = args.pages_total
         if pages < 0:
             raise ScenarioError("--pages-total must be non-negative")
-        print(f"pages={pages}")
-        print(f"reams={pages_to_reams(pages)}")
-        print(f"trees={pages_to_trees(pages)}")
-        return 0
-    if args.campus is not None:
+    elif args.campus is not None:
         if args.pages_each is None:
             raise ScenarioError("--campus needs --pages-each")
         fraction = Fraction(args.fraction)
         pages = campus_pages(args.campus, fraction, args.pages_each)
         print(f"assumptions instructors={args.campus} "
               f"heavy_fraction={fraction} pages_each={args.pages_each}")
-        print(f"pages={pages}")
-        print(f"reams={pages_to_reams(pages)}")
-        print(f"trees={pages_to_trees(pages)}")
-        return 0
-    if args.students is None or args.pages is None or args.weeks is None:
+    elif args.students is None or args.pages is None or args.weeks is None:
         raise ScenarioError(
             "metrics needs --students/--pages/--weeks, --campus/--pages-each, "
             "or --pages-total")
-    usage = CourseUsage(args.students, args.pages, args.weeks)
-    pages = pages_per_course(usage)
-    print(f"assumptions students={usage.students} "
-          f"pages_per_student_week={usage.pages_per_student_week} "
-          f"weeks={usage.weeks}")
-    print(f"pages_per_week={usage.students * usage.pages_per_student_week}")
+    else:
+        usage = CourseUsage(args.students, args.pages, args.weeks)
+        pages = pages_per_course(usage)
+        print(f"assumptions students={usage.students} "
+              f"pages_per_student_week={usage.pages_per_student_week} "
+              f"weeks={usage.weeks}")
+        print(f"pages_per_week={usage.students * usage.pages_per_student_week}")
     print(f"pages={pages}")
     print(f"reams={pages_to_reams(pages)}")
     print(f"trees={pages_to_trees(pages)}")

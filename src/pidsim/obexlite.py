@@ -525,13 +525,14 @@ class PushSession:
             # Refusal comes back on the first frame: only the session
             # overhead is spent, and only that frame is sent.
             world.advance(started + world.params.session_overhead)
-            sent, resp = self._exchange(seq.frames[:1])
-            assert resp == FORBIDDEN
-            world.emit("transfer_failed", mac=slave, file=name, reason="refused")
-            return TransferOutcome("refused", name, size, sent,
-                                   started, world.now)
-
-        world.advance(started + transfer_duration(size, world.params))
+            if device.powered:  # else it went off before replying: link lost
+                sent, resp = self._exchange(seq.frames[:1])
+                assert resp == FORBIDDEN
+                world.emit("transfer_failed", mac=slave, file=name, reason="refused")
+                return TransferOutcome("refused", name, size, sent,
+                                       started, world.now)
+        else:
+            world.advance(started + transfer_duration(size, world.params))
         lost = not (self.link.open and device.powered
                     and device.present_at(world.now))
         if not lost and device.drop_transfers > 0:

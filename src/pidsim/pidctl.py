@@ -307,17 +307,15 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
 
 @dataclass
 class StepConfig:
+    """The walkthrough's inputs.  ``ask(prompt)`` returns the user's reply;
+    None runs the walkthrough unattended."""
+
     local: MacId
     file_name: str = "cpi.txt"
     payload: bytes | None = None
     file_path: str | None = None
     target: MacId | None = None
-    interactive: bool = False
-    input_fn: Callable[[str], str] | None = None  # defaults to builtins input
-
-    def read_line(self, prompt: str) -> str:
-        fn = self.input_fn if self.input_fn is not None else input
-        return fn(prompt)
+    ask: Callable[[str], str] | None = None
 
 
 @dataclass
@@ -338,18 +336,18 @@ class StepReport:
 def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
     """The eight-step console walkthrough: banner, power check, local
     identity, inquiry, device listing, service search, service listing,
-    and one file push.  Interactive mode prints each line as it is said
-    and pauses between steps."""
+    and one file push.  With ``config.ask`` set, each line is printed as it
+    is said and ``ask`` prompts between steps and for the file path."""
     report = StepReport()
 
     def say(text: str) -> None:
         report.lines.append(text)
-        if config.interactive:
+        if config.ask is not None:
             print(text)
 
     def pause() -> None:
-        if config.interactive:
-            config.read_line("[enter to continue] ")
+        if config.ask is not None:
+            config.ask("[enter to continue] ")
 
     local = config.local
     dev = world.device(local)
@@ -439,12 +437,11 @@ def run_stepped(world: SimWorld, config: StepConfig) -> StepReport:
 
 
 def _resolve_step_file(config: StepConfig) -> tuple[str, bytes, str | None]:
-    """Work out (name, payload) for step 8; interactive mode prompts for a
+    """Work out (name, payload) for step 8; ``config.ask`` prompts for a
     path.  A bad path comes back as a clean error, never an exception."""
     path = config.file_path
-    if config.interactive:
-        prompt = f"File path [{path or 'inline payload'}]: "
-        typed = config.read_line(prompt).strip()
+    if config.ask is not None:
+        typed = config.ask(f"File path [{path or 'inline payload'}]: ").strip()
         if typed:
             path = typed
     if config.payload is not None and (path is None or path == config.file_path):

@@ -287,6 +287,8 @@ def load_scenario(path: str) -> Scenario:
             raw = fh.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: parse error: not UTF-8 (byte {exc.start})") from None
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:

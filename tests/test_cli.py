@@ -166,10 +166,17 @@ def _deeply_nested_scenario(tmp_path):
     return bad, f"{bad}: parse error: nesting too deep"
 
 
+def _not_utf8_scenario(tmp_path):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"\xff\xfe" + Path(shipped_fixture_path("live_test")).read_bytes())
+    return bad, f"{bad}: parse error: not UTF-8 (byte 0)"
+
+
 @pytest.mark.parametrize("first, make_bad", [
     ("late_arrival", _missing_file_scenario),
     ("live_test", _deeply_nested_scenario),
-], ids=["missing-file", "deep-nesting"])
+    ("live_test", _not_utf8_scenario),
+], ids=["missing-file", "deep-nesting", "not-utf8"])
 def test_bad_scenario_in_a_batch_keeps_the_good_reports(capsys, tmp_path, first,
                                                         make_bad):
     bad, error = make_bad(tmp_path)
@@ -185,6 +192,14 @@ def test_deeply_nested_json_is_one_error_line(capsys, tmp_path):
     """``json.loads`` raises RecursionError on it, which once escaped as a
     traceback from both commands."""
     bad, error = _deeply_nested_scenario(tmp_path)
+    for command in ("validate", "run"):
+        code, _, err = run_cli(capsys, command, str(bad))
+        assert (code, err) == (1, f"error: {error}\n")
+
+
+def test_scenario_not_in_utf8_is_one_error_line(capsys, tmp_path):
+    """The decode error once came out without the file's path."""
+    bad, error = _not_utf8_scenario(tmp_path)
     for command in ("validate", "run"):
         code, _, err = run_cli(capsys, command, str(bad))
         assert (code, err) == (1, f"error: {error}\n")
@@ -479,6 +494,27 @@ def test_step_with_several_scenarios_is_refused_before_any_runs(capsys, monkeypa
     assert (code, err) == (1, "error: --step runs exactly one scenario\n")
     assert _strip_banner(out) == ""
     assert prompts == []
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("enters", [0, 3, 8])
+def test_step_input_ending_early_is_one_error_line(capsys, monkeypatch, tmp_path,
+                                                   enters):
+    """``input`` raises EOFError when stdin ends; that once escaped as a
+    traceback.  Nothing is written for the unfinished walkthrough."""
+    fed = iter([""] * enters)
+
+    def fake_input(prompt=""):
+        for reply in fed:
+            return reply
+        raise EOFError("EOF when reading a line")
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    code, _, err = run_cli(capsys, "run", "fig6_classroom", "--step",
+                           "--report", str(tmp_path / "out"),
+                           "--log", str(tmp_path / "x.log"))
+    assert (code, err) == (
+        1, "error: --step: input ended before the walkthrough finished\n")
     assert os.listdir(tmp_path) == []
 
 

@@ -160,8 +160,7 @@ def test_run_stepped_interactive_pauses_and_prompts():
         prompts.append(prompt)
         return ""
 
-    report = run_stepped(w, StepConfig(local=LOCAL, payload=b"x",
-                                       interactive=True, input_fn=fake_input))
+    report = run_stepped(w, StepConfig(local=LOCAL, payload=b"x", ask=fake_input))
     assert not report.aborted
     assert sum("enter" in p for p in prompts) >= 7
     assert any("File path" in p for p in prompts)
@@ -301,6 +300,44 @@ def test_run_proactive_refusing_member():
     assert report.outcomes[mac(1)].outcome == DELIVERED
     assert report.outcomes[mac(2)].outcome == REFUSED
     assert w.device(mac(2)).inbox == {}
+
+
+def _power_off(target):
+    def action(world):
+        world.device(target).powered = False
+    return action
+
+
+@pytest.mark.parametrize("refuse", [False, True], ids=["accepting", "refusing"])
+def test_target_switched_off_mid_push_is_a_lost_link(refuse):
+    """A refusing target's reply is due after the session overhead; one
+    switched off before then once raised PoweredOffError out of the run."""
+    w = simnet.SimWorld(seed=1)
+    w.add_device(make_device(LOCAL, "PID-CLIENT", 0.0, 0.0))
+    w.add_device(make_device(mac(1), "student", 1.0, 0.0,
+                             services=[ftp_record(mac(1))], refuse_push=refuse))
+    w.schedule(18_050, _power_off(mac(1)))
+    report = run_proactive(w, Roster("c", {mac(1)}, course_start=240_000),
+                           ("f.txt", b"x" * 10), local=LOCAL)
+    assert report.outcomes[mac(1)] == MemberOutcome(mac(1), RETRIES_EXHAUSTED,
+                                                    attempts=3)
+    failed = [e for e in w.log if e.name == "transfer_failed"]
+    assert [dict(e.fields)["reason"] for e in failed] == [
+        "link-lost", "connect-failed", "connect-failed"]
+    if refuse:  # lost when the refusal was due
+        assert failed[0].time == 18_000 + w.params.session_overhead
+
+
+def test_run_stepped_target_switched_off_before_refusing_is_a_lost_link():
+    w = _office_world()
+    w.device(mac(3)).refuse_push = True
+    started = run_stepped(w, StepConfig(local=LOCAL, payload=b"x")).outcome.started_at
+    w = _office_world()
+    w.device(mac(3)).refuse_push = True
+    w.schedule(started + 50, _power_off(mac(3)))
+    report = run_stepped(w, StepConfig(local=LOCAL, payload=b"x"))
+    assert report.outcome.status == "link-lost"
+    assert report.lines[-1] == "Transfer failed: link-lost"
 
 
 def test_run_proactive_retries_then_succeeds():
