@@ -441,7 +441,8 @@ def _resolve_step_file(config: StepConfig) -> tuple[str, bytes, str | None]:
     path.  A bad path comes back as a clean error, never an exception."""
     path = config.file_path
     if config.ask is not None:
-        typed = config.ask(f"File path [{path or 'inline payload'}]: ").strip()
+        prompt = f"File path [{path or 'inline payload'}]: "
+        typed = config.ask(prompt).strip()
         if typed:
             path = typed
     if config.payload is not None and (path is None or path == config.file_path):
