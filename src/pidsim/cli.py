@@ -205,7 +205,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     elif args.campus is not None:
         if args.pages_each is None:
             raise ScenarioError("--campus needs --pages-each")
-        fraction = Fraction(args.fraction)
+        try:
+            fraction = Fraction(args.fraction)
+        except (ValueError, ZeroDivisionError):
+            raise ScenarioError(f"--fraction: expected P/Q with Q > 0, "
+                                f"got {args.fraction!r}") from None
         pages = campus_pages(args.campus, fraction, args.pages_each)
         print(f"assumptions instructors={args.campus} "
               f"heavy_fraction={fraction} pages_each={args.pages_each}")

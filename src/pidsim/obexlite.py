@@ -38,9 +38,11 @@ the same bytes ``encode_frame`` gives for ``put_frames``.
 and one header walker (``_headers``), which walks the whole frame and
 returns its headers as a list, so a malformed frame raises before the
 server's state changes.  ``serve_push`` then runs the reassembly state
-machine itself.  The session reads the opcode of each reply from a table
-of the four encoded responses and parses any other reply in full, so a
-malformed one still raises.
+machine itself.  In front of that parser, a shape guard takes a
+well-formed continuation frame (PUT, one Body header, a sequence open) in
+the one ``serve_push`` call, with the same answer.  The session reads the
+opcode of each reply from a table of the four encoded responses and parses
+any other reply in full, so a malformed one still raises.
 """
 
 from __future__ import annotations
@@ -349,6 +351,10 @@ class PutSequence:
     size: int  # payload bytes
     frames: tuple[bytes, ...]
 
+    def __post_init__(self) -> None:
+        if not self.frames:
+            raise ValueError("a PUT sequence needs at least one frame")
+
     @classmethod
     def encode(cls, name: str, payload: bytes) -> PutSequence:
         """``wire_frames`` at ``DEFAULT_MAX_PACKET``, each frame checked
@@ -368,6 +374,8 @@ _RESPONSES = {opcode: encode_frame(ObexFrame(opcode))
 _RESPONSE_OPCODES = {raw: opcode for opcode, raw in _RESPONSES.items()}
 _CONNECT_FRAME = encode_frame(ObexFrame(CONNECT, (), ConnectInfo()))
 _DISCONNECT_FRAME = encode_frame(ObexFrame(DISCONNECT))
+# opcode, declared length, then the first header's id and value length
+_CONTINUATION = struct.Struct(">BHBH")
 
 
 class ObexServer:
@@ -391,7 +399,28 @@ class ObexServer:
         PUT, Success after the final one (at which point the reassembled
         payload lands in the device inbox), Forbidden when the device
         refuses pushes, BadRequest on a malformed sequence.
+
+        A shape guard stands in front of the one parser: a PUT frame whose
+        declared length is ``len(raw)`` and that holds exactly one Body
+        header, sent while a sequence is open, is a well-formed
+        continuation, so its chunk is taken straight after the power and
+        refusal checks.  The guard is not a second parser: it accepts only
+        frames the full parser accepts, answers them the same way, and
+        raises no ``ProtocolError`` of its own.  Every other frame is
+        parsed in full.
         """
+        if len(raw) >= _CONTINUATION.size and self._name is not None:
+            opcode, total, hid, size = _CONTINUATION.unpack_from(raw)
+            if opcode == PUT and hid == HDR_BODY and total == len(raw) \
+                    and size == total - _CONTINUATION.size:
+                device = self.device
+                if not device.powered:
+                    raise PoweredOffError(f"{device.mac} is powered off")
+                if device.refuse_push:
+                    self._reset()
+                    return _RESPONSES[FORBIDDEN]
+                self._chunks.append(memoryview(raw)[_CONTINUATION.size:])
+                return _RESPONSES[CONTINUE]
         view = memoryview(raw)
         opcode, total, pos = _frame_prefix(view, whole=True)
         headers = _headers(view, pos, total)

@@ -425,6 +425,16 @@ def test_metrics_rejects_negative_pages_total(capsys):
     assert _strip_banner(out) == ""
 
 
+@pytest.mark.parametrize("fraction", ["1/0", "abc"])
+def test_metrics_bad_fraction_is_one_error_line_naming_the_option(
+        capsys, fraction):
+    code, out, err = run_cli(capsys, "metrics", "--campus", "4",
+                             "--fraction", fraction, "--pages-each", "10")
+    assert (code, _strip_banner(out)) == (1, "")
+    assert err == (f"error: --fraction: expected P/Q with Q > 0, "
+                   f"got '{fraction}'\n")
+
+
 def test_metrics_zero_inputs(capsys):
     code, out, _ = run_cli(capsys, "metrics", "--students", "0",
                            "--pages", "3", "--weeks", "17")

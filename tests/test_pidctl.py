@@ -481,7 +481,7 @@ def test_run_holds_one_encoding_not_one_per_member():
     finally:
         tracemalloc.stop()
     assert report.delivered_count == members
-    assert peak < (members + 3) * len(payload)
+    assert peak < (members + 2) * len(payload)
 
 
 def test_session_state_invariant_checks():
