@@ -43,15 +43,19 @@ class CountingRandom(random.Random):
         return super().random()
 
 
-def _run_rung(devices: int, directory: str) -> dict:
+def write_rung(devices: int, directory: str) -> str:
+    """Write the rung's scenario and payload files; returns the .scn path."""
     base = workloads.WORKLOADS["crowd_churn"]
     shape = dict(base)
     for key in SCALED:
         shape[key] = round(base[key] * devices / base["devices"])
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(workloads.WORKLOADS, "crowd_churn", shape)
-        path = workloads.write_slot("crowd_churn", SLOT, directory)
-    scen = scenario.load_scenario(path)
+        return workloads.write_slot("crowd_churn", SLOT, directory)
+
+
+def _run_rung(devices: int, directory: str) -> dict:
+    scen = scenario.load_scenario(write_rung(devices, directory))
     world = scen.build_world(SEED)
     rng = CountingRandom()
     rng.setstate(world.rng.getstate())

@@ -2,13 +2,14 @@
 
 import collections
 import dataclasses
+import gc
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from pidsim import simnet
+from pidsim import pidctl, scenario, sdp, simnet
 from pidsim.errors import ScenarioError
 from pidsim.obexlite import DEFAULT_MAX_PACKET, first_frame_capacity
 from pidsim.pidctl import run_proactive
@@ -18,9 +19,11 @@ from pidsim.scenario import (
     shipped_fixture_names,
     shipped_fixture_path,
 )
+from pidsim.sdp import ConnectionUrl
 from pidsim.simnet import MacId, RadioDevice, RadioParams
 
 from .conftest import ftp_record
+from .test_scale import write_rung
 
 
 def _minimal(**overrides):
@@ -284,6 +287,70 @@ def test_build_world_makes_no_device_check(monkeypatch):
     assert calls == {}
     dataclasses.replace(sc.devices[0])  # the counters do see a checked copy
     assert calls == {"MacId": 1, "__post_init__": 1}
+
+
+@pytest.mark.parametrize("source", ["classroom200", "classroom200-step-target",
+                                    "crowd-churn-rung"])
+def test_parse_checks_each_mac_string_once(monkeypatch, tmp_path, source):
+    """A parse calls ``MacId`` once per MAC string in the file (every device,
+    every roster member, ``local`` and the step target), wherever it looks
+    the name up, and builds no device or URL through its ``__post_init__``."""
+    if source == "crowd-churn-rung":
+        path = write_rung(1_000, str(tmp_path))
+    else:
+        path = os.path.join(os.path.dirname(__file__), "data", "classroom200.scn")
+        if source == "classroom200-step-target":
+            data = json.loads(Path(path).read_text())
+            data["step_target"] = data["devices"][7]["mac"].lower()
+            path = _write(tmp_path, data)
+    data = json.loads(Path(path).read_text())
+    mac_strings = (len(data["devices"]) + len(data["roster"]["members"]) + 1
+                   + ("step_target" in data))
+    calls = collections.Counter()
+    real_mac = simnet.MacId
+
+    def counting_mac(value):
+        calls["MacId"] += 1
+        return real_mac(value)
+
+    def counting(name, real):
+        def post_init(self):
+            calls[name] += 1
+            real(self)
+        return post_init
+
+    for module in (scenario, sdp, simnet, pidctl):
+        monkeypatch.setattr(module, "MacId", counting_mac)
+    for cls in (RadioDevice, ConnectionUrl):
+        monkeypatch.setattr(cls, "__post_init__",
+                            counting(cls.__name__, cls.__post_init__))
+    sc = load_scenario(path)
+    assert calls == {"MacId": mac_strings}
+    assert len(sc.devices) == len(data["devices"]) >= 201
+    if "step_target" in data:
+        assert sc.step_target == data["step_target"].upper()
+
+
+def test_public_constructors_canonicalize_and_check_the_mac():
+    assert RadioDevice(mac="00179a235edd", friendly_name="x").mac == "00179A235EDD"
+    assert ConnectionUrl("btgoep", "00179a235edd", 1, "").mac == "00179A235EDD"
+    with pytest.raises(ValueError, match="not a 12-hex-digit MAC"):
+        RadioDevice(mac="00179a235edg", friendly_name="x")
+    with pytest.raises(ValueError, match="not a 12-hex-digit MAC"):
+        ConnectionUrl("btgoep", "00179a235ed", 1, "")
+
+
+def test_build_world_queues_arrivals_and_departures_as_data():
+    """Each scripted arrival and departure waits in the queue as plain data,
+    which the cyclic GC stops tracking, not as a closure it must track."""
+    sc = load_scenario(os.path.join(os.path.dirname(__file__), "data",
+                                    "classroom200.scn"))
+    world = sc.build_world(0)
+    gc.collect()
+    scripted = (sum(d.arrival > 0 for d in sc.devices)
+                + sum(d.departure is not None for d in sc.devices))
+    assert len(world._queue) == scripted == 183
+    assert not any(gc.is_tracked(entry) for entry in world._queue)
 
 
 def test_scenario_radio_overrides():
