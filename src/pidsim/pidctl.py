@@ -66,6 +66,15 @@ class Roster:
                 self.window_start <= self.late_cutoff <= self.window_end):
             raise ValueError("late_cutoff must lie inside the delivery window")
 
+    @classmethod
+    def _from_checked(cls, members: frozenset[MacId], **fields) -> Roster:
+        """The roster the constructor builds from members already canonical:
+        the window and retries are checked, the members are not checked
+        again."""
+        roster = cls(members=frozenset(), **fields)
+        object.__setattr__(roster, "members", members)
+        return roster
+
     @property
     def window_start(self) -> SimTime:
         return self.course_start - self.window_before

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ProtocolError, ScenarioError
@@ -45,7 +45,6 @@ _ROSTER = {"course_id": str, "members": list, "course_start": int,
            "max_retries": int}
 _FILE = {"name": str, "text": str, "hex": str, "path": str}
 _USAGE = {"students": int, "pages_per_week": int, "weeks": int}
-_DEVICE_FIELDS = tuple(f.name for f in fields(RadioDevice))
 
 
 def _fields(obj, spec: dict, where: str, required=()) -> dict:
@@ -57,14 +56,21 @@ def _fields(obj, spec: dict, where: str, required=()) -> dict:
     required field set to null is refused as mistyped."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object")
-    unknown = sorted(set(obj).difference(spec, ("notes",)))
-    if unknown:
-        raise ScenarioError(f"{where}: unknown field(s): {', '.join(unknown)}")
+    if not obj.keys() <= spec.keys():
+        unknown = sorted(set(obj).difference(spec, ("notes",)))
+        if unknown:
+            raise ScenarioError(f"{where}: unknown field(s): {', '.join(unknown)}")
     for key in required:
         if key not in obj:
             raise ScenarioError(f"{where}: missing required field {key!r}")
     found = {}
     for key, value in obj.items():
+        # A value of its field's one exact type needs no other check, unless
+        # it is a string that is not ASCII.
+        kind = type(value)
+        if spec.get(key) is kind and (kind is not str or value.isascii()):
+            found[key] = value
+            continue
         if value is None and key not in required or key == "notes":
             continue
         types = spec[key]
@@ -115,18 +121,17 @@ class Scenario:
     def build_world(self, seed: int) -> SimWorld:
         """A fresh world; each device copies its template, with its own
         services list and an empty inbox.  The templates were checked when
-        parsed, so the copies skip ``__post_init__``.  Setting the fields in
-        ``__init__``'s order keeps CPython's fast attribute layout, which
-        ``copy.copy`` loses."""
+        parsed, so the copies are built from checked parts and no MAC is
+        checked again.  Each scripted arrival and departure is queued as
+        data, not as a closure."""
         world = SimWorld(seed=seed, params=self.radio,
                          loss_probability=self.loss_probability)
-        for template in self.devices:
-            device = object.__new__(RadioDevice)
-            for name in _DEVICE_FIELDS:
-                setattr(device, name, getattr(template, name))
-            device.services = list(template.services)
-            device.inbox = {}
-            world.add_device(device)
+        add = world.add_device
+        copy = RadioDevice._from_checked
+        for t in self.devices:
+            add(copy(t.mac, t.friendly_name, t.position, list(t.services),
+                     t.powered, t.discoverable, t.arrival, t.departure,
+                     t.refuse_push, t.drop_transfers))
         return world
 
     def resolve_payload(self) -> tuple[str, bytes]:
@@ -207,7 +212,10 @@ def _parse_devices(items: list) -> dict[MacId, RadioDevice]:
     for i, obj in enumerate(items):
         where = f"scenario.devices[{i}]"
         f = _fields(obj, _DEVICE, where, required=("mac", "name", "position"))
-        mac = _checked(f"{where}.mac", MacId, f.pop("mac"))
+        try:
+            mac = MacId(f.pop("mac"))
+        except ValueError as exc:
+            raise ScenarioError(f"{where}.mac: {exc}") from None
         if mac in devices:
             raise ScenarioError(f"{where}.mac: duplicate MAC {mac}")
         pos = f.pop("position")
@@ -216,10 +224,12 @@ def _parse_devices(items: list) -> dict[MacId, RadioDevice]:
         if len(pos) != 2 or not all(type(c) in (int, float)
                                     and abs(c) <= sys.float_info.max for c in pos):
             raise ScenarioError(f"{where}.position: expected [x, y] in meters")
-        services = _parse_services(f.pop("services", []), mac, where)
-        devices[mac] = _checked(where, RadioDevice, mac, f.pop("name"),
-                                (float(pos[0]), float(pos[1])),
-                                services=services, **f)
+        services = _parse_services(f.pop("services", ()), mac, where)
+        try:
+            devices[mac] = RadioDevice._from_checked(
+                mac, f.pop("name"), (float(pos[0]), float(pos[1])), services, **f)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
     if not devices:
         raise ScenarioError("scenario.devices: at least one device required")
     return devices
@@ -230,11 +240,15 @@ def _parse_services(items: list, mac: MacId, where: str) -> list[ServiceRecord]:
     for j, obj in enumerate(items):
         swhere = f"{where}.services[{j}]"
         f = _fields(obj, _SERVICE, swhere, required=("id", "name"))
-        if f["id"] in records:
-            raise ScenarioError(f"{swhere}.id: duplicate service id {f['id']}")
-        url = _checked(swhere, ConnectionUrl, f.get("scheme", "http"), mac,
-                       f.get("channel", 1), f.get("path", ""))
-        records[f["id"]] = _checked(swhere, ServiceRecord, f["id"], f["name"], url)
+        sid = f["id"]
+        if sid in records:
+            raise ScenarioError(f"{swhere}.id: duplicate service id {sid}")
+        try:
+            url = ConnectionUrl._from_checked(f.get("scheme", "http"), mac,
+                                              f.get("channel", 1), f.get("path", ""))
+            records[sid] = ServiceRecord(sid, f["name"], url)
+        except ValueError as exc:
+            raise ScenarioError(f"{swhere}: {exc}") from None
     return list(records.values())
 
 
@@ -246,11 +260,14 @@ def _parse_roster(obj: dict) -> Roster:
     for i, m in enumerate(f["members"]):
         if not isinstance(m, str):
             raise ScenarioError(f"{where}.members[{i}]: expected a MAC string")
-        macs.append(_checked(f"{where}.members[{i}]", MacId, m))
-    if len(set(macs)) != len(macs):
+        try:
+            macs.append(MacId(m))
+        except ValueError as exc:
+            raise ScenarioError(f"{where}.members[{i}]: {exc}") from None
+    members = f["members"] = frozenset(macs)
+    if len(members) != len(macs):
         raise ScenarioError(f"{where}.members: duplicate MACs")
-    f["members"] = frozenset(macs)
-    return _checked(where, Roster, **f)
+    return _checked(where, Roster._from_checked, **f)
 
 
 def _parse_file(obj: dict) -> tuple[str, bytes | None, str | None]:

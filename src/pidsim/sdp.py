@@ -25,11 +25,29 @@ class ConnectionUrl:
     path: str
 
     def __post_init__(self) -> None:
-        if not self.scheme or any(c in self.scheme for c in ":/"):
-            raise ValueError(f"bad scheme: {self.scheme!r}")
+        self._check()
+        object.__setattr__(self, "mac", MacId(self.mac))
+
+    def _check(self) -> None:
+        scheme = self.scheme
+        if not scheme or ":" in scheme or "/" in scheme:
+            raise ValueError(f"bad scheme: {scheme!r}")
         if self.channel < 1:
             raise ValueError("channel must be a positive integer")
-        object.__setattr__(self, "mac", MacId(self.mac))
+
+    @classmethod
+    def _from_checked(cls, scheme: str, mac: MacId, channel: int,
+                      path: str) -> ConnectionUrl:
+        """The URL the constructor builds from a MAC already canonical: the
+        scheme and channel are checked, the MAC is not checked again."""
+        url = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(url, "scheme", scheme)
+        set_field(url, "mac", mac)
+        set_field(url, "channel", channel)
+        set_field(url, "path", path)
+        url._check()
+        return url
 
     def render(self) -> str:
         return f"{self.scheme}://{self.mac}:{self.channel}/{self.path}"

@@ -14,7 +14,10 @@ immutable (``str``, ``int``, ``bool``); a mutable value changed after
 ``emit`` would change its line.
 
 The event queue holds only the arrivals and departures ``add_device``
-schedules and the actions callers schedule.  Inquiry, service search and
+queues and the actions callers ``schedule``.  An arrival or a departure is
+queued as data, ``(time, seq, kind, mac)``, with no closure, so a world
+of many devices adds no object for the cyclic GC to track; every event
+fires in (time, insertion) order.  Inquiry, service search and
 pushes are plain calls: each advances the clock through its own instants,
 firing queued events on the way, and returns with its result.
 
@@ -51,6 +54,9 @@ if TYPE_CHECKING:
 SimTime = int
 
 MAX_SLAVES = 7
+
+# What a queued event does: emit ``device_arrived``, depart, or call an action.
+_ARRIVAL, _DEPARTURE, _ACTION = range(3)
 
 _MAC_PATTERN = re.compile(r"[0-9A-F]{12}")
 
@@ -95,7 +101,7 @@ class RadioDevice:
     ``arrival``/``departure`` script presence; a device takes part in
     discovery only while powered, discoverable, and present.  The presence
     window is fixed once the device is added to a world: ``add_device``
-    schedules its arrival and departure events then, and inquiry decides
+    queues its arrival and departure events then, and inquiry decides
     from it which answers to check at all.  ``powered``,
     ``discoverable`` and ``position`` may change at any time.
     """
@@ -114,10 +120,40 @@ class RadioDevice:
 
     def __post_init__(self) -> None:
         self.mac = MacId(self.mac)
+        self._check_window()
+
+    def _check_window(self) -> None:
         if self.arrival < 0:
             raise ValueError("arrival must be non-negative")
         if self.departure is not None and self.departure <= self.arrival:
             raise ValueError("departure must be after arrival")
+
+    @classmethod
+    def _from_checked(cls, mac: MacId, friendly_name: str,
+                      position: tuple[float, float],
+                      services: list["ServiceRecord"], powered: bool = True,
+                      discoverable: bool = True, arrival: SimTime = 0,
+                      departure: SimTime | None = None,
+                      refuse_push: bool = False,
+                      drop_transfers: int = 0) -> RadioDevice:
+        """The device the constructor builds from a MAC already canonical:
+        the presence window is checked, the MAC is not checked again, and
+        ``services`` is taken as given, not copied.  The fields are set in
+        ``__init__``'s order, which keeps CPython's fast attribute layout."""
+        device = object.__new__(cls)
+        device.mac = mac
+        device.friendly_name = friendly_name
+        device.position = position
+        device.powered = powered
+        device.discoverable = discoverable
+        device.services = services
+        device.arrival = arrival
+        device.departure = departure
+        device.refuse_push = refuse_push
+        device.drop_transfers = drop_transfers
+        device.inbox = {}
+        device._check_window()
+        return device
 
     def present_at(self, t: SimTime) -> bool:
         if t < self.arrival:
@@ -230,7 +266,9 @@ class SimWorld:
         self._names: list[str] = []
         self._fields: list[dict[str, object]] = []
         self._log = EventLog(self._times, self._names, self._fields)
-        self._queue: list[tuple[SimTime, int, Callable[[SimWorld], None]]] = []
+        # Heap entries (time, insertion seq, kind, mac or action): an arrival
+        # or departure is plain data, which the cyclic GC stops tracking.
+        self._queue: list[tuple[SimTime, int, int, object]] = []
         self._sched_seq = 0
         # presence_windows(), cleared by add_device.
         self._windows: tuple[tuple[MacId, SimTime, float], ...] | None = None
@@ -248,11 +286,9 @@ class SimWorld:
         self.devices[device.mac] = device
         self._windows = None
         if device.arrival > self.now:
-            self.schedule(device.arrival,
-                          lambda w, m=device.mac: w.emit("device_arrived", mac=m))
+            self._enqueue(device.arrival, _ARRIVAL, device.mac)
         if device.departure is not None:
-            self.schedule(device.departure,
-                          lambda w, m=device.mac: w._depart(m))
+            self._enqueue(device.departure, _DEPARTURE, device.mac)
         return device
 
     def presence_windows(self) -> tuple[tuple[MacId, SimTime, float], ...]:
@@ -275,9 +311,12 @@ class SimWorld:
     # -- event loop --------------------------------------------------------
 
     def schedule(self, at: SimTime, action: Callable[["SimWorld"], None]) -> None:
+        self._enqueue(at, _ACTION, action)
+
+    def _enqueue(self, at: SimTime, kind: int, arg: object) -> None:
         if at < self.now:
             raise ValueError("cannot schedule in the past")
-        heapq.heappush(self._queue, (at, self._sched_seq, action))
+        heapq.heappush(self._queue, (at, self._sched_seq, kind, arg))
         self._sched_seq += 1
 
     def emit(self, event_name: str, **fields: object) -> None:
@@ -302,9 +341,14 @@ class SimWorld:
             raise ValueError("cannot advance backwards")
         queue = self._queue
         while queue and queue[0][0] <= until:
-            at, _, action = heapq.heappop(queue)
+            at, _, kind, arg = heapq.heappop(queue)
             self.now = at
-            action(self)
+            if kind == _ARRIVAL:
+                self.emit("device_arrived", mac=arg)
+            elif kind == _DEPARTURE:
+                self._depart(arg)
+            else:
+                arg(self)
         self.now = until
 
     def render_log(self) -> str:

@@ -217,8 +217,8 @@ def test_file_payload_sources(tmp_path):
 
 
 def test_build_world_copies_every_device_field():
-    """A new ``RadioDevice`` field reaches the built world without touching
-    ``build_world``; only the mutable services list and inbox are fresh."""
+    """Every ``RadioDevice`` field reaches the built world; only the mutable
+    services list and inbox are fresh."""
     template = RadioDevice(
         mac="0019E3A20001", friendly_name="phone", position=(3.0, 4.0),
         powered=False, discoverable=False,
@@ -338,6 +338,44 @@ def test_public_constructors_canonicalize_and_check_the_mac():
         RadioDevice(mac="00179a235edg", friendly_name="x")
     with pytest.raises(ValueError, match="not a 12-hex-digit MAC"):
         ConnectionUrl("btgoep", "00179a235ed", 1, "")
+
+
+def _value_error(make, *args, **kw):
+    with pytest.raises(ValueError) as exc:
+        make(*args, **kw)
+    return str(exc.value)
+
+
+def test_checked_parts_build_what_the_constructors_build():
+    """The parser's paths from an already canonical MAC build the objects
+    the public constructors build and refuse the same other values with the
+    same messages."""
+    m = MacId("0019E3A20001")
+    assert RadioDevice._from_checked(m, "n", (0.0, 0.0), []) == RadioDevice(m, "n")
+    opts = dict(powered=False, discoverable=False, arrival=5, departure=9,
+                refuse_push=True, drop_transfers=2)
+    services = [ftp_record(m)]
+    assert RadioDevice._from_checked(m, "n", (1.0, 2.0), services, **opts) \
+        == RadioDevice(m, "n", (1.0, 2.0), services=services, **opts)
+    for window in ({"arrival": -1}, {"arrival": 5, "departure": 5}):
+        assert _value_error(RadioDevice._from_checked, m, "n", (0.0, 0.0), [],
+                            **window) \
+            == _value_error(RadioDevice, m, "n", **window)
+    assert ConnectionUrl._from_checked("btgoep", m, 9, "ftp/") \
+        == ConnectionUrl("btgoep", m, 9, "ftp/")
+    for scheme, channel in (("", 1), ("a:b", 1), ("a/b", 1), ("http", 0)):
+        assert _value_error(ConnectionUrl._from_checked, scheme, m, channel, "") \
+            == _value_error(ConnectionUrl, scheme, m, channel, "")
+    window = dict(course_id="C", course_start=300_000, window_before=1,
+                  window_after=2, late_cutoff=300_001, max_retries=2)
+    assert pidctl.Roster._from_checked(frozenset({m}), **window) \
+        == pidctl.Roster(members=frozenset({m}), **window)
+    for bad in ({"window_before": 300_001}, {"window_after": -1},
+                {"late_cutoff": 300_003}, {"max_retries": 0}):
+        assert _value_error(pidctl.Roster._from_checked, frozenset({m}),
+                            **{**window, **bad}) \
+            == _value_error(pidctl.Roster, members=frozenset({m}),
+                            **{**window, **bad})
 
 
 def test_build_world_queues_arrivals_and_departures_as_data():
