@@ -6,12 +6,15 @@ milliseconds, every random draw comes from one seeded generator, and every
 observable action lands in an append-only log, so a given (scenario, seed)
 pair replays to the same log byte for byte.
 
-``emit`` stores each event raw: its time, its name and the keyword fields
-as passed, unsorted and unstringified.  ``render_log`` renders every line
-once, and ``world.log`` builds a ``LogEvent`` only for the line asked for.
-Deferring the rendering is safe only because every field value is
-immutable (``str``, ``int``, ``bool``); a mutable value changed after
-``emit`` would change its line.
+``emit`` stores each line as a shape id plus flat values.  A shape is the
+event name and its keys in call order; each gets its line template once.
+Per line the world appends the shape id to one list and ``t``, ``seq`` and
+the field values, in sorted-key order and not turned into text, to one flat
+list, so a line adds nothing the GC counts.  ``render_log`` is one ``%``
+format of the lines' templates over those values, and ``world.log`` builds
+a ``LogEvent`` only for the line asked for.  Deferring the rendering is
+safe only because every field value is immutable (``str``, ``int``,
+``bool``); a mutable value changed after ``emit`` would change its line.
 
 The event queue holds only the arrivals and departures ``add_device``
 queues and the actions callers ``schedule``.  An arrival or a departure is
@@ -37,6 +40,7 @@ import random
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (
@@ -203,30 +207,41 @@ def _template(shape: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
 class EventLog(Sequence):
     """Read-only view of a world's event log, one ``LogEvent`` per line.
 
-    The lines are held raw in the world's three parallel lists.  ``len``
-    builds no event; indexing, slicing and iteration build each
-    ``LogEvent`` as it is reached, so a ``LogEvent`` is a fresh object on
-    every access.  A view equals a list of the same events.
+    The lines are held in the world's flat storage: a shape id per line and
+    one list of every line's ``t, seq, values...``.  Where each line starts
+    in that list is summed from its shape's key count the first time a line
+    is asked for, and kept.  ``len`` builds no event; indexing, slicing and
+    iteration build each ``LogEvent`` as it is reached, so a ``LogEvent`` is
+    a fresh object on every access.  A view equals a list of the same events.
     """
 
-    __slots__ = ("_times", "_names", "_fields")
+    __slots__ = ("_ids", "_values", "_shapes", "_starts")
 
-    def __init__(self, times: list[SimTime], names: list[str],
-                 fields: list[dict[str, object]]) -> None:
-        self._times = times
-        self._names = names
-        self._fields = fields
+    def __init__(self, ids: list[int], values: list[object],
+                 shapes: list[tuple[str, tuple[str, ...]]]) -> None:
+        self._ids = ids
+        self._values = values
+        self._shapes = shapes  # per shape id: (event name, sorted keys)
+        self._starts = [0]  # where lines 0, 1, ... start in ``values``
 
     def __len__(self) -> int:
-        return len(self._times)
+        return len(self._ids)
 
     def _event(self, seq: int) -> LogEvent:
-        items = sorted(self._fields[seq].items())
-        return LogEvent(self._times[seq], seq, self._names[seq],
-                        tuple([(k, _render(v)) for k, v in items]))
+        starts, shapes = self._starts, self._shapes
+        if len(starts) <= seq + 1:  # lines logged since the last sum
+            begin = starts.pop()
+            starts.extend(accumulate(
+                [2 + len(shapes[i][1]) for i in self._ids[len(starts):]],
+                initial=begin))
+        name, keys = shapes[self._ids[seq]]
+        at = starts[seq]
+        values = self._values
+        rendered = map(_render, values[at + 2:starts[seq + 1]])
+        return LogEvent(values[at], seq, name, tuple(zip(keys, rendered)))
 
     def __getitem__(self, index):
-        n = len(self._times)
+        n = len(self._ids)
         if isinstance(index, slice):
             return [self._event(seq) for seq in range(*index.indices(n))]
         seq = operator.index(index)
@@ -237,7 +252,7 @@ class EventLog(Sequence):
         return self._event(seq)
 
     def __iter__(self):
-        return map(self._event, range(len(self._times)))
+        return map(self._event, range(len(self._ids)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (EventLog, list)):
@@ -259,13 +274,18 @@ class SimWorld:
         self.devices: dict[MacId, RadioDevice] = {}
         # Open links only, keyed (master, slave), in the order they opened.
         self.links: dict[tuple[MacId, MacId], LinkHandle] = {}
-        # The log, one line per index: time, event name and the keyword
-        # fields as passed.  Parallel lists rather than a tuple per line,
-        # because a tuple holding a dict is never untracked by the GC.
-        self._times: list[SimTime] = []
-        self._names: list[str] = []
-        self._fields: list[dict[str, object]] = []
-        self._log = EventLog(self._times, self._names, self._fields)
+        # The log: one shape id per line, and every line's t, seq and field
+        # values in one flat list.  A line adds no object the GC counts.
+        self._ids: list[int] = []
+        self._values: list[object] = []
+        # Per shape id: the line template, and (event name, sorted keys).
+        self._templates: list[str] = []
+        self._shapes: list[tuple[str, tuple[str, ...]]] = []
+        # (name, *keys in call order) -> (shape id, sorted-order getter or
+        # None where the call order is already sorted).
+        self._shape_ids: dict[tuple[str, ...], tuple[int, Callable | None]] = {}
+        self._last_time: float = -math.inf
+        self._log = EventLog(self._ids, self._values, self._shapes)
         # Heap entries (time, insertion seq, kind, mac or action): an arrival
         # or departure is plain data, which the cyclic GC stops tracking.
         self._queue: list[tuple[SimTime, int, int, object]] = []
@@ -322,17 +342,30 @@ class SimWorld:
     def emit(self, event_name: str, **fields: object) -> None:
         """Append one event at the current time to the log.
 
-        The fields are stored as passed: not sorted, not rendered.
-        ``render_log`` and ``log`` do both later, which is safe only because
-        every field value is immutable (``str``, ``int``, ``bool``).
+        The line is stored as its shape id plus ``t``, ``seq`` and the field
+        values in sorted-key order, not rendered; a shape gets its template
+        the first time it is seen.  ``render_log`` and ``log`` render later,
+        which is safe only because every field value is immutable (``str``,
+        ``int``, ``bool``).
         """
-        times = self._times
         now = self.now
-        if times and now < times[-1]:
+        if now < self._last_time:
             raise AssertionError("event log went backwards in time")
-        times.append(now)
-        self._names.append(event_name)
-        self._fields.append(fields)
+        self._last_time = now
+        shape = (event_name, *fields)
+        known = self._shape_ids.get(shape)
+        if known is None:
+            template, keys = _template(shape)
+            self._templates.append(template)
+            self._shapes.append((event_name, keys))
+            order = None if keys == shape[1:] else operator.itemgetter(*keys)
+            known = self._shape_ids[shape] = (len(self._shapes) - 1, order)
+        shape_id, order = known
+        ids = self._ids
+        values = self._values
+        values += (now, len(ids))
+        values += fields.values() if order is None else order(fields)
+        ids.append(shape_id)
 
     def advance(self, until: SimTime) -> None:
         """Process every queued event with time <= until, in (time, insertion)
@@ -352,20 +385,12 @@ class SimWorld:
         self.now = until
 
     def render_log(self) -> str:
-        """The whole log as text: each line rendered once, keys sorted."""
-        render = _render
-        # Every emit call site passes a fixed key set: a few dozen shapes.
-        templates: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
-        lines = []
-        for seq, (t, name, fields) in enumerate(
-                zip(self._times, self._names, self._fields)):
-            shape = (name, *fields)
-            made = templates.get(shape)
-            if made is None:
-                made = templates[shape] = _template(shape)
-            template, keys = made
-            lines.append(template % (t, seq, *[render(fields[k]) for k in keys]))
-        return "".join(lines)
+        """The whole log as text, keys sorted: one ``%`` format of every
+        line's template over the flat values, bools rendered first."""
+        values = self._values
+        if bool in map(type, values):
+            values = [_render(v) if type(v) is bool else v for v in values]
+        return "".join(map(self._templates.__getitem__, self._ids)) % tuple(values)
 
     # -- piconet links -----------------------------------------------------
 
@@ -433,10 +458,13 @@ def start_inquiry(world: SimWorld, initiator: MacId) -> list[tuple[MacId, SimTim
     (now, now+inquiry_duration], drawn in MAC order from the world RNG.
     Only a device present at its instant answers: its presence window is
     fixed once it is added, so a device that has not arrived yet or has
-    left costs one draw and nothing more.  The world advances to each
-    answer instant in turn, so queued events fire on the way and power,
-    discoverability and range are checked as they stand at that instant.
-    The call returns with the clock at the end of the window.
+    left costs one draw and nothing more.  The answers are kept as two
+    flat lists, instants and MACs, which add no object the GC counts, and
+    visited by a stable sort on the instant, so ties stay in MAC order.
+    The world advances to each answer instant in turn, so queued events
+    fire on the way and power, discoverability and range are checked as
+    they stand at that instant.  The call returns with the clock at the end
+    of the window.
     """
     start = world.now
     duration = world.params.inquiry_duration
@@ -449,7 +477,8 @@ def start_inquiry(world: SimWorld, initiator: MacId) -> list[tuple[MacId, SimTim
     # test_inquiry_draws_match_randrange fails first if CPython changes it.
     getrandbits = world.rng.getrandbits
     bits = duration.bit_length()
-    answers = []
+    instants = []
+    macs = []
     for mac, arrival, departure in world.presence_windows():
         if mac == initiator:
             continue
@@ -458,12 +487,14 @@ def start_inquiry(world: SimWorld, initiator: MacId) -> list[tuple[MacId, SimTim
             r = getrandbits(bits)
         at = start + 1 + r
         if arrival <= at < departure:
-            answers.append((at, mac))
-    answers.sort()
+            instants.append(at)
+            macs.append(mac)
     devices = world.devices
     ini_end = math.inf if ini.departure is None else ini.departure
     discovered = []
-    for at, mac in answers:
+    for k in sorted(range(len(instants)), key=instants.__getitem__):
+        at = instants[k]
+        mac = macs[k]
         world.advance(at)
         dev = devices[mac]
         if ini.powered and ini.arrival <= at < ini_end and dev.powered \

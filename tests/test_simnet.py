@@ -29,6 +29,7 @@ from pidsim.simnet import (
 )
 
 from .conftest import LOCAL, make_device, make_world, mac
+from .reference_log import ReferenceLog
 
 
 # -- MacId -------------------------------------------------------------------
@@ -147,16 +148,116 @@ def test_emit_neither_renders_nor_sorts(monkeypatch):
 
 
 def test_render_log_renders_each_field_once(monkeypatch):
+    """``%s`` renders every field in the one format call; ``_render`` runs
+    only for the bool values, once each."""
     w = make_world(n_others=6, seed=3)
     start_inquiry(w, LOCAL)
     w.emit("flags", on=True, off=False, none=None)
-    fields = sum(len(e.fields) for e in w.log)
+    w.emit("flags", none=1, off=True, on=False)
     expected = "".join(e.line() + "\n" for e in w.log)
     renders = _counting(monkeypatch, "_render", simnet._render)
     assert w.render_log() == expected
-    assert len(renders) == fields
-    assert w.log[-1].line() == "t=16000 seq=%d ev=flags none=None off=false on=true" % (
-        len(w.log) - 1)
+    assert len(renders) == 4
+    assert sorted(renders) == [(False,), (False,), (True,), (True,)]
+    n = len(w.log)
+    assert w.log[-2].line() == "t=16000 seq=%d ev=flags none=None off=false on=true" % (
+        n - 2)
+    assert w.log[-1].line() == "t=16000 seq=%d ev=flags none=1 off=true on=false" % (
+        n - 1)
+
+
+def test_a_shape_gets_its_template_once(monkeypatch):
+    w = make_world()
+    templates = _counting(monkeypatch, "_template", simnet._template)
+    for i in range(1000):
+        w.emit("tick", n=i, mac=LOCAL)
+    assert templates == [(("tick", "n", "mac"),)]
+    lines = w.render_log().splitlines()
+    assert len(templates) == 1  # render_log builds no template either
+    assert lines[999] == f"t=0 seq=999 ev=tick mac={LOCAL} n=999"
+
+
+# Names, keys and values that stress the templates: ``%`` and ``=`` in
+# every part, shapes that repeat, and one key set in any call order.
+_log_names = st.text(alphabet="ev%s", min_size=1, max_size=3)
+_log_keys = st.text(alphabet="ab%s", min_size=1, max_size=2)
+_log_values = st.one_of(st.text(alphabet="x%s= ", max_size=4), st.integers(),
+                        st.booleans(), st.none(), st.floats())
+_log_emits = st.tuples(st.integers(0, 3), _log_names,
+                       st.lists(st.tuples(_log_keys, _log_values), max_size=4,
+                                unique_by=lambda kv: kv[0]))
+
+
+@given(st.lists(_log_emits, max_size=12), st.data())
+def test_flat_log_matches_the_dict_per_line_reference(emits, data):
+    w = SimWorld()
+    ref = ReferenceLog()
+    for step, name, pairs in emits:
+        w.advance(w.now + step)
+        w.emit(name, **dict(pairs))
+        ref.emit(w.now, name, **dict(pairs))
+        # Asked for as the log grows, so line offsets are found in steps.
+        assert w.log[-1] == ref.event(len(ref) - 1)
+    assert w.render_log() == ref.render_log()
+    expected = ref.events()
+    assert list(w.log) == expected and len(w.log) == len(expected)
+    for k in range(1, len(expected) + 1):
+        assert w.log[-k] == expected[-k]
+    cut = data.draw(st.slices(len(expected)))
+    assert w.log[cut] == expected[cut]
+
+
+def _gc_count_growth(emits: int) -> int:
+    """How far ``emits`` same-shape emits raise the collector's gen-0
+    allocation count, with the collector off."""
+    w = make_world()
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        for i in range(emits):
+            w.emit("tick", n=i, mac=LOCAL)
+        return gc.get_count()[0] - before
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_emit_adds_nothing_per_line_to_the_collectors_count():
+    _gc_count_growth(10)  # the interpreter's own first-use allocations
+    assert _gc_count_growth(10**3) == _gc_count_growth(10**4)
+
+
+def _gen0_collections_in_one_inquiry(n_others: int) -> int:
+    """Gen-0 collections at threshold 100 during one inquiry over
+    ``n_others`` devices, all present but out of range."""
+    w = SimWorld(seed=1)
+    w.add_device(make_device(LOCAL, "PID-CLIENT", 0.0, 0.0))
+    for i in range(1, n_others + 1):
+        w.add_device(make_device(mac(i), f"dev-{i}", 1000.0, 0.0))
+    w.presence_windows()  # built once per world, not per inquiry
+    collections = []
+
+    def on_gc(phase, info):
+        if phase == "start" and info["generation"] == 0:
+            collections.append(info)
+
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    gc.set_threshold(100)
+    try:
+        assert start_inquiry(w, LOCAL) == []
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(on_gc)
+    return len(collections)
+
+
+def test_inquiry_answers_add_nothing_per_device_to_the_collectors_count():
+    assert _gen0_collections_in_one_inquiry(500) == \
+        _gen0_collections_in_one_inquiry(4000)
 
 
 def test_log_view_builds_events_only_when_asked(monkeypatch):
