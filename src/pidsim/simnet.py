@@ -10,11 +10,12 @@ pair replays to the same log byte for byte.
 event name and its keys in call order; each gets its line template once.
 Per line the world appends the shape id to one list and ``t``, ``seq`` and
 the field values, in sorted-key order and not turned into text, to one flat
-list, so a line adds nothing the GC counts.  ``render_log`` is one ``%``
-format of the lines' templates over those values, and ``world.log`` builds
-a ``LogEvent`` only for the line asked for.  Deferring the rendering is
-safe only because every field value is immutable (``str``, ``int``,
-``bool``); a mutable value changed after ``emit`` would change its line.
+list, so a line adds nothing the GC counts.  ``render_log`` formats the
+lines in blocks of a few thousand, one ``%`` over each block's joined
+templates and values, and ``world.log`` builds a ``LogEvent`` only for
+the line asked for.  Deferring the rendering is safe only because every
+field value is immutable (``str``, ``int``, ``bool``); a mutable value
+changed after ``emit`` would change its line.
 
 The event queue holds only the arrivals and departures ``add_device``
 queues and the actions callers ``schedule``.  An arrival or a departure is
@@ -61,6 +62,9 @@ MAX_SLAVES = 7
 
 # What a queued event does: emit ``device_arrived``, depart, or call an action.
 _ARRIVAL, _DEPARTURE, _ACTION = range(3)
+
+# Lines per ``%`` format in ``render_log``: ~170 KB of text per block.
+_RENDER_BLOCK = 2048
 
 _MAC_PATTERN = re.compile(r"[0-9A-F]{12}")
 
@@ -385,12 +389,30 @@ class SimWorld:
         self.now = until
 
     def render_log(self) -> str:
-        """The whole log as text, keys sorted: one ``%`` format of every
-        line's template over the flat values, bools rendered first."""
-        values = self._values
-        if bool in map(type, values):
-            values = [_render(v) if type(v) is bool else v for v in values]
-        return "".join(map(self._templates.__getitem__, self._ids)) % tuple(values)
+        """The whole log as text, keys sorted, bools rendered first.
+
+        Each block of ``_RENDER_BLOCK`` lines is one ``%`` format of its
+        lines' templates over its slice of the flat values.  One format
+        over the whole log grows its result, and copies the values, in
+        buffers of megabytes; whether a later run in the same process
+        reuses them depends on where the allocator put them, so peak RSS
+        varied between identical runs.  Blocks keep every such buffer small.
+        """
+        values, ids = self._values, self._ids
+        templates = self._templates
+        widths = [2 + len(keys) for _, keys in self._shapes]
+        blocks = []
+        at = 0
+        for first in range(0, len(ids), _RENDER_BLOCK):
+            block = ids[first:first + _RENDER_BLOCK]
+            end = at + sum(map(widths.__getitem__, block))
+            fields = values[at:end]
+            if bool in map(type, fields):
+                fields = [_render(v) if type(v) is bool else v for v in fields]
+            blocks.append("".join(map(templates.__getitem__, block))
+                          % tuple(fields))
+            at = end
+        return "".join(blocks)
 
     # -- piconet links -----------------------------------------------------
 

@@ -199,6 +199,13 @@ def test_flat_log_matches_the_dict_per_line_reference(emits, data):
         # Asked for as the log grows, so line offsets are found in steps.
         assert w.log[-1] == ref.event(len(ref) - 1)
     assert w.render_log() == ref.render_log()
+    # Blocks end between lines of any widths, bool values or not.
+    default = simnet._RENDER_BLOCK
+    simnet._RENDER_BLOCK = data.draw(st.integers(1, 5))
+    try:
+        assert w.render_log() == ref.render_log()
+    finally:
+        simnet._RENDER_BLOCK = default
     expected = ref.events()
     assert list(w.log) == expected and len(w.log) == len(expected)
     for k in range(1, len(expected) + 1):
