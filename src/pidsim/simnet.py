@@ -6,16 +6,15 @@ milliseconds, every random draw comes from one seeded generator, and every
 observable action lands in an append-only log, so a given (scenario, seed)
 pair replays to the same log byte for byte.
 
-``emit`` stores each line as a shape id plus flat values.  A shape is the
-event name and its keys in call order; each gets its line template once.
-Per line the world appends the shape id to one list and ``t``, ``seq`` and
-the field values, in sorted-key order and not turned into text, to one flat
-list, so a line adds nothing the GC counts.  ``render_log`` formats the
-lines in blocks of a few thousand, one ``%`` over each block's joined
-templates and values, and ``world.log`` builds a ``LogEvent`` only for
-the line asked for.  Deferring the rendering is safe only because every
-field value is immutable (``str``, ``int``, ``bool``); a mutable value
-changed after ``emit`` would change its line.
+The log's vocabulary is one table, ``EVENTS``, of event names and their
+sorted keys; each row's line template is built once, at import.  ``emit``
+refuses a line the table does not declare, and appends the row's id to one
+list and ``t``, ``seq`` and the field values, in key order and not turned
+into text, to one flat list, so a line adds nothing the GC counts.
+``render_log`` formats the lines in blocks of a few thousand, one ``%``
+over each block's joined templates and values, and ``world.log`` builds a
+``LogEvent`` only for the line asked for.  Deferring the rendering is safe
+only because every field value is an immutable ``str`` or ``int``.
 
 The event queue holds only the arrivals and departures ``add_device``
 queues and the actions callers ``schedule``.  An arrival or a departure is
@@ -67,6 +66,39 @@ _ARRIVAL, _DEPARTURE, _ACTION = range(3)
 _RENDER_BLOCK = 2048
 
 _MAC_PATTERN = re.compile(r"[0-9A-F]{12}")
+
+# Every line the log can hold: (event name, keys in sorted order).  A name
+# logged with two key sets has a row for each.
+EVENTS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("device_arrived", ("mac",)),
+    ("device_departed", ("mac",)),
+    ("device_discovered", ("mac", "name")),
+    ("inquiry_completed", ("count", "initiator", "macs")),
+    ("inquiry_started", ("initiator",)),
+    ("iteration_started", ("index",)),
+    ("link_closed", ("master", "reason", "slave")),
+    ("link_connected", ("master", "slave")),
+    ("member_rejected", ("mac", "reason")),
+    ("member_skipped", ("mac", "reason")),
+    ("service_search_completed", ("mac", "services", "status")),
+    ("service_search_completed", ("mac", "status")),
+    ("services_discovered", ("count", "mac")),
+    ("transfer_completed", ("bytes", "file", "frames", "mac")),
+    ("transfer_failed", ("file", "mac", "reason")),
+    ("transfer_started", ("bytes", "file", "mac")),
+)
+
+# Per shape id (a row of ``EVENTS``): the line template, and how many
+# values a line of it adds to the flat log, ``t`` and ``seq`` included.
+_TEMPLATES = ["t=%s seq=%s ev=" + name + "".join(f" {k}=%s" for k in keys)
+              + "\n" for name, keys in EVENTS]
+_WIDTHS = [2 + len(keys) for _, keys in EVENTS]
+# (event name, key count) -> (shape id, getter of the values in key order
+# as a tuple; ``itemgetter`` of a single key returns the value bare).
+_SHAPES = {
+    (name, len(keys)): (shape_id, operator.itemgetter(*keys) if len(keys) > 1
+                        else lambda fields, key=keys[0]: (fields[key],))
+    for shape_id, (name, keys) in enumerate(EVENTS)}
 
 
 def MacId(value: str) -> str:
@@ -192,56 +224,39 @@ class LinkHandle:
     closed_reason: str | None = None
 
 
-def _render(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _template(shape: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
-    """The %-template of a whole line of one (event name, *keys) shape, and
-    its keys in sorted order."""
-    name, *keys = shape
-    keys.sort()
-    parts = ["t=%s seq=%s ev=" + name.replace("%", "%%")]
-    parts.extend(key.replace("%", "%%") + "=%s" for key in keys)
-    return " ".join(parts) + "\n", tuple(keys)
-
-
 class EventLog(Sequence):
     """Read-only view of a world's event log, one ``LogEvent`` per line.
 
-    The lines are held in the world's flat storage: a shape id per line and
-    one list of every line's ``t, seq, values...``.  Where each line starts
-    in that list is summed from its shape's key count the first time a line
-    is asked for, and kept.  ``len`` builds no event; indexing, slicing and
-    iteration build each ``LogEvent`` as it is reached, so a ``LogEvent`` is
-    a fresh object on every access.  A view equals a list of the same events.
+    The lines are held in the world's flat storage: an ``EVENTS`` row id per
+    line and one list of every line's ``t, seq, values...``.  Where each
+    line starts in that list is summed from its row's key count the first
+    time a line is asked for, and kept.  ``len`` builds no event; indexing,
+    slicing and iteration build each ``LogEvent`` as it is reached, so a
+    ``LogEvent`` is a fresh object on every access.  A view equals a list
+    of the same events.
     """
 
-    __slots__ = ("_ids", "_values", "_shapes", "_starts")
+    __slots__ = ("_ids", "_values", "_starts")
 
-    def __init__(self, ids: list[int], values: list[object],
-                 shapes: list[tuple[str, tuple[str, ...]]]) -> None:
+    def __init__(self, ids: list[int], values: list[object]) -> None:
         self._ids = ids
         self._values = values
-        self._shapes = shapes  # per shape id: (event name, sorted keys)
         self._starts = [0]  # where lines 0, 1, ... start in ``values``
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def _event(self, seq: int) -> LogEvent:
-        starts, shapes = self._starts, self._shapes
+        starts = self._starts
         if len(starts) <= seq + 1:  # lines logged since the last sum
             begin = starts.pop()
             starts.extend(accumulate(
-                [2 + len(shapes[i][1]) for i in self._ids[len(starts):]],
+                map(_WIDTHS.__getitem__, self._ids[len(starts):]),
                 initial=begin))
-        name, keys = shapes[self._ids[seq]]
+        name, keys = EVENTS[self._ids[seq]]
         at = starts[seq]
         values = self._values
-        rendered = map(_render, values[at + 2:starts[seq + 1]])
+        rendered = map(str, values[at + 2:starts[seq + 1]])
         return LogEvent(values[at], seq, name, tuple(zip(keys, rendered)))
 
     def __getitem__(self, index):
@@ -278,18 +293,11 @@ class SimWorld:
         self.devices: dict[MacId, RadioDevice] = {}
         # Open links only, keyed (master, slave), in the order they opened.
         self.links: dict[tuple[MacId, MacId], LinkHandle] = {}
-        # The log: one shape id per line, and every line's t, seq and field
-        # values in one flat list.  A line adds no object the GC counts.
+        # The log: a shape id per line, and all lines' t, seq, values flat.
         self._ids: list[int] = []
         self._values: list[object] = []
-        # Per shape id: the line template, and (event name, sorted keys).
-        self._templates: list[str] = []
-        self._shapes: list[tuple[str, tuple[str, ...]]] = []
-        # (name, *keys in call order) -> (shape id, sorted-order getter or
-        # None where the call order is already sorted).
-        self._shape_ids: dict[tuple[str, ...], tuple[int, Callable | None]] = {}
         self._last_time: float = -math.inf
-        self._log = EventLog(self._ids, self._values, self._shapes)
+        self._log = EventLog(self._ids, self._values)
         # Heap entries (time, insertion seq, kind, mac or action): an arrival
         # or departure is plain data, which the cyclic GC stops tracking.
         self._queue: list[tuple[SimTime, int, int, object]] = []
@@ -346,29 +354,24 @@ class SimWorld:
     def emit(self, event_name: str, **fields: object) -> None:
         """Append one event at the current time to the log.
 
-        The line is stored as its shape id plus ``t``, ``seq`` and the field
-        values in sorted-key order, not rendered; a shape gets its template
-        the first time it is seen.  ``render_log`` and ``log`` render later,
-        which is safe only because every field value is immutable (``str``,
-        ``int``, ``bool``).
+        The name and key count pick a row of ``EVENTS``; a line the table
+        does not declare raises ``SimError`` and logs nothing.  The line is
+        stored as the row's id plus ``t``, ``seq`` and the field values in
+        key order, rendered only by ``render_log`` and ``log``.
         """
         now = self.now
         if now < self._last_time:
             raise AssertionError("event log went backwards in time")
+        try:
+            shape_id, getter = _SHAPES[event_name, len(fields)]
+            row = getter(fields)
+        except KeyError:
+            raise SimError(f"undeclared {event_name}: {sorted(fields)}") from None
         self._last_time = now
-        shape = (event_name, *fields)
-        known = self._shape_ids.get(shape)
-        if known is None:
-            template, keys = _template(shape)
-            self._templates.append(template)
-            self._shapes.append((event_name, keys))
-            order = None if keys == shape[1:] else operator.itemgetter(*keys)
-            known = self._shape_ids[shape] = (len(self._shapes) - 1, order)
-        shape_id, order = known
         ids = self._ids
         values = self._values
         values += (now, len(ids))
-        values += fields.values() if order is None else order(fields)
+        values += row
         ids.append(shape_id)
 
     def advance(self, until: SimTime) -> None:
@@ -389,7 +392,7 @@ class SimWorld:
         self.now = until
 
     def render_log(self) -> str:
-        """The whole log as text, keys sorted, bools rendered first.
+        """The whole log as text, keys sorted.
 
         Each block of ``_RENDER_BLOCK`` lines is one ``%`` format of its
         lines' templates over its slice of the flat values.  One format
@@ -399,18 +402,13 @@ class SimWorld:
         varied between identical runs.  Blocks keep every such buffer small.
         """
         values, ids = self._values, self._ids
-        templates = self._templates
-        widths = [2 + len(keys) for _, keys in self._shapes]
         blocks = []
         at = 0
         for first in range(0, len(ids), _RENDER_BLOCK):
             block = ids[first:first + _RENDER_BLOCK]
-            end = at + sum(map(widths.__getitem__, block))
-            fields = values[at:end]
-            if bool in map(type, fields):
-                fields = [_render(v) if type(v) is bool else v for v in fields]
-            blocks.append("".join(map(templates.__getitem__, block))
-                          % tuple(fields))
+            end = at + sum(map(_WIDTHS.__getitem__, block))
+            blocks.append("".join(map(_TEMPLATES.__getitem__, block))
+                          % tuple(values[at:end]))
             at = end
         return "".join(blocks)
 

@@ -96,6 +96,8 @@ def test_search_services_departed_mid_search():
     assert mac(1) in catalog.services
     assert catalog.departed == [mac(2)]
     assert mac(2) not in catalog.services
+    assert w.log[-1].line() == (f"t=4000 seq=3 ev=service_search_completed "
+                                f"mac={mac(2)} status=departed")
 
 
 def test_failed_search_leaves_nothing_queued():

@@ -1,8 +1,10 @@
 """Radio world: addressing, clock, inquiry, links, transfer timing."""
 
 import gc
+import glob
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -93,10 +95,10 @@ def test_advance_rejects_going_backwards(world):
 
 
 def test_equal_time_events_fire_in_insertion_order(world):
-    world.schedule(5, lambda w: w.emit("first"))
-    world.schedule(5, lambda w: w.emit("second"))
+    world.schedule(5, lambda w: w.emit("device_arrived", mac=LOCAL))
+    world.schedule(5, lambda w: w.emit("device_departed", mac=LOCAL))
     world.advance(5)
-    assert [e.name for e in world.log] == ["first", "second"]
+    assert [e.name for e in world.log] == ["device_arrived", "device_departed"]
     assert [e.seq for e in world.log] == [0, 1]
 
 
@@ -120,8 +122,8 @@ def test_log_times_non_decreasing_and_seq_strict():
 
 def test_log_line_format():
     w = make_world()
-    w.emit("sample", b=2, a="x")
-    assert w.log[-1].line() == "t=0 seq=0 ev=sample a=x b=2"
+    w.emit("services_discovered", mac="x", count=2)
+    assert w.log[-1].line() == "t=0 seq=0 ev=services_discovered count=2 mac=x"
     assert w.render_log().endswith("\n")
 
 
@@ -139,56 +141,113 @@ def _counting(monkeypatch, name, original):
 
 def test_emit_neither_renders_nor_sorts(monkeypatch):
     w = make_world()
-    renders = _counting(monkeypatch, "_render", simnet._render)
+    renders = _counting(monkeypatch, "str", str)
     sorts = _counting(monkeypatch, "sorted", sorted)
-    w.emit("sample", b=2, a="x", c=True)
-    w.emit("other", mac=LOCAL)
+    w.emit("transfer_completed", mac=LOCAL, frames=3, file="x", bytes=2)
+    w.emit("device_arrived", mac=LOCAL)
     assert renders == [] and sorts == []
     assert len(w.log) == 2
 
 
 def test_render_log_renders_each_field_once(monkeypatch):
-    """``%s`` renders every field in the one format call; ``_render`` runs
-    only for the bool values, once each."""
+    """``%s`` renders every field in its block's one format call; no
+    field goes through ``str`` first."""
     w = make_world(n_others=6, seed=3)
     start_inquiry(w, LOCAL)
-    w.emit("flags", on=True, off=False, none=None)
-    w.emit("flags", none=1, off=True, on=False)
+    w.emit("transfer_failed", reason="x=y", mac=LOCAL, file="a %s")
     expected = "".join(e.line() + "\n" for e in w.log)
-    renders = _counting(monkeypatch, "_render", simnet._render)
+    renders = _counting(monkeypatch, "str", str)
     assert w.render_log() == expected
-    assert len(renders) == 4
-    assert sorted(renders) == [(False,), (False,), (True,), (True,)]
-    n = len(w.log)
-    assert w.log[-2].line() == "t=16000 seq=%d ev=flags none=None off=false on=true" % (
-        n - 2)
-    assert w.log[-1].line() == "t=16000 seq=%d ev=flags none=1 off=true on=false" % (
-        n - 1)
+    assert renders == []
+    assert w.log[-1].line() == (
+        f"t=16000 seq={len(w.log) - 1} ev=transfer_failed file=a %s "
+        f"mac={LOCAL} reason=x=y")
 
 
-def test_a_shape_gets_its_template_once(monkeypatch):
-    w = make_world()
-    templates = _counting(monkeypatch, "_template", simnet._template)
-    for i in range(1000):
-        w.emit("tick", n=i, mac=LOCAL)
-    assert templates == [(("tick", "n", "mac"),)]
-    lines = w.render_log().splitlines()
-    assert len(templates) == 1  # render_log builds no template either
-    assert lines[999] == f"t=0 seq=999 ev=tick mac={LOCAL} n=999"
+def test_events_table_is_sorted_plain_and_one_row_per_lookup():
+    for name, keys in simnet.EVENTS:
+        assert list(keys) == sorted(keys), name
+        assert re.fullmatch("[a-z_]+", name)
+        assert all(re.fullmatch("[a-z_]+", key) for key in keys), name
+    assert len({(name, len(keys)) for name, keys in simnet.EVENTS}) == \
+        len(simnet.EVENTS)
 
 
-# Names, keys and values that stress the templates: ``%`` and ``=`` in
-# every part, shapes that repeat, and one key set in any call order.
-_log_names = st.text(alphabet="ev%s", min_size=1, max_size=3)
-_log_keys = st.text(alphabet="ab%s", min_size=1, max_size=2)
-_log_values = st.one_of(st.text(alphabet="x%s= ", max_size=4), st.integers(),
-                        st.booleans(), st.none(), st.floats())
-_log_emits = st.tuples(st.integers(0, 3), _log_names,
-                       st.lists(st.tuples(_log_keys, _log_values), max_size=4,
-                                unique_by=lambda kv: kv[0]))
+@pytest.mark.parametrize("name, fields", [
+    ("sample", {"mac": LOCAL}),                                # undeclared name
+    ("link_closed", {"master": LOCAL, "slave": LOCAL}),        # missing key
+    ("device_arrived", {"mac": LOCAL, "name": "x"}),           # extra key
+    ("device_arrived", {"addr": LOCAL}),                       # other key
+    ("service_search_completed", {"mac": LOCAL, "services": 1}),
+])
+def test_emit_refuses_an_undeclared_line_and_logs_nothing(name, fields):
+    w = make_world(n_others=2, seed=3)
+    start_inquiry(w, LOCAL)
+    n, text = len(w.log), w.render_log()
+    with pytest.raises(SimError):
+        w.emit(name, **fields)
+    assert len(w.log) == n and w.render_log() == text
+    w.emit("device_departed", mac=LOCAL)  # the log goes on unharmed
+    assert w.log[-1].seq == n and w.render_log().startswith(text)
 
 
-@given(st.lists(_log_emits, max_size=12), st.data())
+def _declared_line_patterns() -> list[re.Pattern]:
+    """One full-line pattern per ``EVENTS`` row; no value holds ``=``."""
+    return [re.compile(r"t=\d+ seq=\d+ ev=" + name
+                       + "".join(f" {key}=[^=]*" for key in keys))
+            for name, keys in simnet.EVENTS]
+
+
+def test_every_golden_log_line_is_one_declared_line():
+    data = os.path.join(os.path.dirname(__file__), "data")
+    lines = []
+    for path in sorted(glob.glob(os.path.join(data, "*.log"))):
+        with open(path, encoding="utf-8") as f:
+            lines += f.read().splitlines()
+    for path in sorted(glob.glob(os.path.join(data, "demos", "*.out"))):
+        with open(path, encoding="utf-8") as f:  # a demo indents its log
+            lines += [line[2:] for line in f.read().splitlines()
+                      if re.match(r"  t=\d+ seq=", line)]
+    assert len(lines) > 6000
+    patterns = _declared_line_patterns()
+    covered = set()
+    for line in lines:
+        rows = [i for i, p in enumerate(patterns) if p.fullmatch(line)]
+        assert len(rows) == 1, line
+        covered.update(rows)
+    uncovered = [simnet.EVENTS[i] for i in range(len(patterns))
+                 if i not in covered]
+    # Pinned by test_sdp.py::test_search_services_departed_mid_search.
+    assert uncovered == [("service_search_completed", ("mac", "status"))]
+
+
+def test_readme_event_table_lists_the_events_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("## Event log format", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = line.split("|")
+            rows.append((cells[1].strip().strip("`"),
+                         tuple(re.findall(r"`([a-z_]+)`", cells[2]))))
+    assert rows == list(simnet.EVENTS)
+
+
+# Values that stress the templates: ``%``, ``=`` and spaces in strings.
+_log_values = st.one_of(st.text(alphabet="x%s= ", max_size=4), st.integers())
+
+
+@st.composite
+def _log_emits(draw):
+    """A step in time and one declared line, its keys in any call order."""
+    name, keys = draw(st.sampled_from(simnet.EVENTS))
+    keys = draw(st.permutations(keys))
+    return draw(st.integers(0, 3)), name, [(k, draw(_log_values)) for k in keys]
+
+
+@given(st.lists(_log_emits(), max_size=12), st.data())
 def test_flat_log_matches_the_dict_per_line_reference(emits, data):
     w = SimWorld()
     ref = ReferenceLog()
@@ -199,7 +258,7 @@ def test_flat_log_matches_the_dict_per_line_reference(emits, data):
         # Asked for as the log grows, so line offsets are found in steps.
         assert w.log[-1] == ref.event(len(ref) - 1)
     assert w.render_log() == ref.render_log()
-    # Blocks end between lines of any widths, bool values or not.
+    # Blocks end between lines of any widths.
     default = simnet._RENDER_BLOCK
     simnet._RENDER_BLOCK = data.draw(st.integers(1, 5))
     try:
@@ -224,7 +283,7 @@ def _gc_count_growth(emits: int) -> int:
     try:
         before = gc.get_count()[0]
         for i in range(emits):
-            w.emit("tick", n=i, mac=LOCAL)
+            w.emit("services_discovered", mac=LOCAL, count=i)
         return gc.get_count()[0] - before
     finally:
         if collecting:
@@ -637,11 +696,11 @@ def test_departure_closes_links_in_the_order_they_opened():
 def test_emit_refuses_an_event_earlier_than_the_last_one():
     w = make_world()
     w.now = 5
-    w.emit("first")
+    w.emit("device_arrived", mac=LOCAL)
     w.now = 3
     with pytest.raises(AssertionError):
-        w.emit("second")
-    assert [e.name for e in w.log] == ["first"]
+        w.emit("device_departed", mac=LOCAL)
+    assert [e.name for e in w.log] == ["device_arrived"]
 
 
 # -- transfer duration -------------------------------------------------------
