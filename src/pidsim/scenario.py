@@ -22,7 +22,7 @@ from .errors import ProtocolError, ScenarioError
 from .metrics import CourseUsage
 from .obexlite import DEFAULT_MAX_PACKET, first_frame_capacity
 from .pidctl import DEFAULT_INQUIRY_INTERVAL, Roster, StepConfig
-from .sdp import ConnectionUrl, ServiceRecord
+from .sdp import ServiceRecord
 from .simnet import MacId, RadioDevice, RadioParams, SimTime, SimWorld
 
 SCHEMA_VERSION = 1
@@ -39,6 +39,9 @@ _RADIO = {"range_m": (int, float), "inquiry_duration": int,
 _DEVICE = {"mac": str, "name": str, "position": list, "services": list,
            "powered": bool, "discoverable": bool, "arrival": int,
            "departure": int, "refuse_push": bool, "drop_transfers": int}
+# A coordinate's JSON types, and the bound a float can hold.
+_COORD = (int, float)
+_COORD_MAX = sys.float_info.max
 _SERVICE = {"id": int, "name": str, "channel": int, "path": str, "scheme": str}
 _ROSTER = {"course_id": str, "members": list, "course_start": int,
            "window_before": int, "window_after": int, "late_cutoff": int,
@@ -209,25 +212,33 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
 
 def _parse_devices(items: list) -> dict[MacId, RadioDevice]:
     devices: dict[MacId, RadioDevice] = {}
+    make = RadioDevice._from_checked
     for i, obj in enumerate(items):
         where = f"scenario.devices[{i}]"
         f = _fields(obj, _DEVICE, where, required=("mac", "name", "position"))
         try:
-            mac = MacId(f.pop("mac"))
+            mac = MacId(f["mac"])
         except ValueError as exc:
             raise ScenarioError(f"{where}.mac: {exc}") from None
         if mac in devices:
             raise ScenarioError(f"{where}.mac: duplicate MAC {mac}")
-        pos = f.pop("position")
+        pos = f["position"]
+        if len(pos) != 2:
+            raise ScenarioError(f"{where}.position: expected [x, y] in meters")
         # The bound also refuses NaN, infinities and ints too large for a
         # float; a bool is refused like in every other number field.
-        if len(pos) != 2 or not all(type(c) in (int, float)
-                                    and abs(c) <= sys.float_info.max for c in pos):
+        x, y = pos
+        if not (type(x) in _COORD and abs(x) <= _COORD_MAX
+                and type(y) in _COORD and abs(y) <= _COORD_MAX):
             raise ScenarioError(f"{where}.position: expected [x, y] in meters")
-        services = _parse_services(f.pop("services", ()), mac, where)
+        get = f.get
+        services = _parse_services(get("services", ()), mac, where)
         try:
-            devices[mac] = RadioDevice._from_checked(
-                mac, f.pop("name"), (float(pos[0]), float(pos[1])), services, **f)
+            devices[mac] = make(mac, f["name"], (float(x), float(y)), services,
+                                get("powered", True), get("discoverable", True),
+                                get("arrival", 0), get("departure"),
+                                get("refuse_push", False),
+                                get("drop_transfers", 0))
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
     if not devices:
@@ -237,16 +248,17 @@ def _parse_devices(items: list) -> dict[MacId, RadioDevice]:
 
 def _parse_services(items: list, mac: MacId, where: str) -> list[ServiceRecord]:
     records: dict[int, ServiceRecord] = {}
+    make = ServiceRecord._from_checked
     for j, obj in enumerate(items):
         swhere = f"{where}.services[{j}]"
         f = _fields(obj, _SERVICE, swhere, required=("id", "name"))
         sid = f["id"]
         if sid in records:
             raise ScenarioError(f"{swhere}.id: duplicate service id {sid}")
+        get = f.get
         try:
-            url = ConnectionUrl._from_checked(f.get("scheme", "http"), mac,
-                                              f.get("channel", 1), f.get("path", ""))
-            records[sid] = ServiceRecord(sid, f["name"], url)
+            records[sid] = make(sid, f["name"], get("scheme", "http"), mac,
+                                get("channel", 1), get("path", ""))
         except ValueError as exc:
             raise ScenarioError(f"{swhere}: {exc}") from None
     return list(records.values())

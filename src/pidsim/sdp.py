@@ -35,20 +35,6 @@ class ConnectionUrl:
         if self.channel < 1:
             raise ValueError("channel must be a positive integer")
 
-    @classmethod
-    def _from_checked(cls, scheme: str, mac: MacId, channel: int,
-                      path: str) -> ConnectionUrl:
-        """The URL the constructor builds from a MAC already canonical: the
-        scheme and channel are checked, the MAC is not checked again."""
-        url = object.__new__(cls)
-        set_field = object.__setattr__
-        set_field(url, "scheme", scheme)
-        set_field(url, "mac", mac)
-        set_field(url, "channel", channel)
-        set_field(url, "path", path)
-        url._check()
-        return url
-
     def render(self) -> str:
         return f"{self.scheme}://{self.mac}:{self.channel}/{self.path}"
 
@@ -60,8 +46,34 @@ class ServiceRecord:
     connection_url: ConnectionUrl
 
     def __post_init__(self) -> None:
+        self._check()
+
+    def _check(self) -> None:
         if self.service_id < 1:
             raise ValueError("service_id must be >= 1")
+
+    @classmethod
+    def _from_checked(cls, service_id: int, service_name: str, scheme: str,
+                      mac: MacId, channel: int, path: str) -> ServiceRecord:
+        """The record ``ServiceRecord(service_id, service_name,
+        ConnectionUrl(scheme, mac, channel, path))`` builds from a MAC
+        already canonical: the URL's scheme and channel are checked, then
+        the id, and the MAC is not checked again.  Both objects get their
+        fields in ``__init__``'s order, which keeps CPython's fast
+        attribute layout."""
+        set_field = object.__setattr__
+        url = object.__new__(ConnectionUrl)
+        set_field(url, "scheme", scheme)
+        set_field(url, "mac", mac)
+        set_field(url, "channel", channel)
+        set_field(url, "path", path)
+        url._check()
+        record = object.__new__(cls)
+        set_field(record, "service_id", service_id)
+        set_field(record, "service_name", service_name)
+        set_field(record, "connection_url", url)
+        record._check()
+        return record
 
     def is_ftp(self) -> bool:
         return FTP_NAME_FRAGMENT in self.service_name.lower()

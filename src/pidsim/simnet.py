@@ -40,7 +40,7 @@ import random
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (
@@ -99,6 +99,7 @@ _SHAPES = {
     (name, len(keys)): (shape_id, operator.itemgetter(*keys) if len(keys) > 1
                         else lambda fields, key=keys[0]: (fields[key],))
     for shape_id, (name, keys) in enumerate(EVENTS)}
+_DISCOVERED = EVENTS.index(("device_discovered", ("mac", "name")))
 
 
 def MacId(value: str) -> str:
@@ -142,7 +143,8 @@ class RadioDevice:
     discovery only while powered, discoverable, and present.  The presence
     window is fixed once the device is added to a world: ``add_device``
     queues its arrival and departure events then, and inquiry decides
-    from it which answers to check at all.  ``powered``,
+    from it which answers to check at all and, for the initiator, from
+    which queued event on it hears them.  ``powered``,
     ``discoverable`` and ``position`` may change at any time.
     """
 
@@ -481,10 +483,16 @@ def start_inquiry(world: SimWorld, initiator: MacId) -> list[tuple[MacId, SimTim
     left costs one draw and nothing more.  The answers are kept as two
     flat lists, instants and MACs, which add no object the GC counts, and
     visited by a stable sort on the instant, so ties stay in MAC order.
-    The world advances to each answer instant in turn, so queued events
-    fire on the way and power, discoverability and range are checked as
-    they stand at that instant.  The call returns with the clock at the end
-    of the window.
+
+    Only a queued event can change a device's power, discoverability or
+    position, so the answers are walked in quiet stretches: the world
+    advances to an answer instant only when the queue head is due by it,
+    which fires the head and everything else due on the way, and the
+    initiator's power, its position and the radio range are read once per
+    stretch.  Each answer is then checked as it stands at its instant, as
+    if the clock had stopped there, and logged as a ``device_discovered``
+    line without ``emit``'s lookup.  The call returns with the clock at
+    the end of the window.
     """
     start = world.now
     duration = world.params.inquiry_duration
@@ -510,18 +518,39 @@ def start_inquiry(world: SimWorld, initiator: MacId) -> list[tuple[MacId, SimTim
             instants.append(at)
             macs.append(mac)
     devices = world.devices
-    ini_end = math.inf if ini.departure is None else ini.departure
+    ids = world._ids
+    values = world._values
+    dist = math.dist
+    hit = bytearray(len(macs))  # per answer, in MAC order: discovered
     discovered = []
+    queue = world._queue
+    due = start  # no stretch read yet
     for k in sorted(range(len(instants)), key=instants.__getitem__):
         at = instants[k]
+        if at >= due:
+            # A new stretch: fire what is due by this answer, then read
+            # what holds until the next queued event.  The initiator's
+            # arrival and departure are queued events too.
+            if queue and queue[0][0] <= at:
+                world.advance(at)
+            due = queue[0][0] if queue else math.inf
+            live = ini.powered and ini.present_at(at)
+            ini_pos = ini.position
+            range_m = world.params.range_m
+        if not live:
+            continue
         mac = macs[k]
-        world.advance(at)
         dev = devices[mac]
-        if ini.powered and ini.arrival <= at < ini_end and dev.powered \
-                and dev.discoverable and in_range(ini, dev, world.params):
+        if dev.powered and dev.discoverable \
+                and dist(ini_pos, dev.position) <= range_m:
+            hit[k] = 1
             discovered.append((mac, at))
-            world.emit("device_discovered", mac=mac, name=dev.friendly_name)
+            # emit's append with the row pre-bound, stamped with the answer
+            # instant: no line logged so far is later, and the clock and
+            # ``_last_time`` catch up at ``inquiry_completed``.
+            values += (at, len(ids), mac, dev.friendly_name)
+            ids.append(_DISCOVERED)
     world.advance(start + duration)
     world.emit("inquiry_completed", initiator=initiator, count=len(discovered),
-               macs=",".join(sorted(mac for mac, _ in discovered)))
+               macs=",".join(compress(macs, hit)))
     return discovered

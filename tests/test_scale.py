@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from pidsim import pidctl, scenario
+from pidsim.simnet import SimWorld
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -105,3 +106,67 @@ def test_events_scheduled_grow_no_faster_than_devices(rungs):
 def test_tracked_objects_grow_no_faster_than_members(rungs):
     for rung in rungs:
         assert rung["tracked_added"] <= rung["members"] + 64, rung
+
+
+def _count_calls(devices: int, directory: str) -> dict:
+    """One rung's run with ``SimWorld.emit`` calls counted, and, inside each
+    inquiry, its ``SimWorld.advance`` calls and the queue entries it fired
+    (those queued before or during it and gone after)."""
+    counts = dict.fromkeys(("emits", "inquiries", "inquiry_advances",
+                            "inquiry_fired"), 0)
+    inside = []
+    real_emit, real_advance = SimWorld.emit, SimWorld.advance
+    real_inquiry = pidctl.start_inquiry
+
+    def emit(world, *args, **kwargs):
+        counts["emits"] += 1
+        return real_emit(world, *args, **kwargs)
+
+    def advance(world, until):
+        counts["inquiry_advances"] += bool(inside)
+        return real_advance(world, until)
+
+    def start_inquiry(world, initiator):
+        queued, scheduled = len(world._queue), world._sched_seq
+        inside.append(True)
+        try:
+            return real_inquiry(world, initiator)
+        finally:
+            inside.pop()
+            counts["inquiries"] += 1
+            counts["inquiry_fired"] += (queued + world._sched_seq - scheduled
+                                        - len(world._queue))
+
+    scen = scenario.load_scenario(write_rung(devices, directory))
+    world = scen.build_world(SEED)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimWorld, "emit", emit)
+        mp.setattr(SimWorld, "advance", advance)
+        mp.setattr(pidctl, "start_inquiry", start_inquiry)
+        pidctl.run_proactive(world, scen.roster, scen.resolve_payload(),
+                             inquiry_interval=scen.inquiry_interval,
+                             local=scen.local)
+    counts["lines"] = len(world.log)
+    counts["discovered"] = sum(e.name == "device_discovered" for e in world.log)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def calls(tmp_path_factory):
+    return [_count_calls(n, str(tmp_path_factory.mktemp(f"calls{n}")))
+            for n in RUNGS]
+
+
+def test_every_line_but_a_discovery_goes_through_emit(calls):
+    for rung in calls:
+        assert rung["discovered"] > rung["lines"] // 2, rung
+        assert rung["emits"] == rung["lines"] - rung["discovered"], rung
+
+
+def test_inquiry_advances_grow_with_queued_events_not_answers(calls):
+    """An inquiry advances the clock only to fire queued events, plus once
+    to the end of its window, however many devices answer."""
+    for rung in calls:
+        assert rung["inquiry_advances"] <= \
+            rung["inquiry_fired"] + rung["inquiries"], rung
+        assert rung["inquiry_advances"] < rung["discovered"] // 4, rung

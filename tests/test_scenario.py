@@ -8,6 +8,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pidsim import pidctl, scenario, sdp, simnet
 from pidsim.errors import ScenarioError
@@ -19,7 +21,7 @@ from pidsim.scenario import (
     shipped_fixture_names,
     shipped_fixture_path,
 )
-from pidsim.sdp import ConnectionUrl
+from pidsim.sdp import ConnectionUrl, ServiceRecord
 from pidsim.simnet import MacId, RadioDevice, RadioParams
 
 from .conftest import ftp_record
@@ -361,11 +363,17 @@ def test_checked_parts_build_what_the_constructors_build():
         assert _value_error(RadioDevice._from_checked, m, "n", (0.0, 0.0), [],
                             **window) \
             == _value_error(RadioDevice, m, "n", **window)
-    assert ConnectionUrl._from_checked("btgoep", m, 9, "ftp/") \
-        == ConnectionUrl("btgoep", m, 9, "ftp/")
-    for scheme, channel in (("", 1), ("a:b", 1), ("a/b", 1), ("http", 0)):
-        assert _value_error(ConnectionUrl._from_checked, scheme, m, channel, "") \
-            == _value_error(ConnectionUrl, scheme, m, channel, "")
+    assert ServiceRecord._from_checked(4, "FTP", "btgoep", m, 9, "ftp/") \
+        == ServiceRecord(4, "FTP", ConnectionUrl("btgoep", m, 9, "ftp/"))
+
+    def record(sid, scheme, channel):
+        return ServiceRecord(sid, "s", ConnectionUrl(scheme, m, channel, ""))
+
+    for sid, scheme, channel in ((1, "", 1), (1, "a:b", 1), (1, "a/b", 1),
+                                 (1, "http", 0), (0, "http", 1), (0, "a:b", 0),
+                                 (0, "http", 0)):
+        assert _value_error(ServiceRecord._from_checked, sid, "s", scheme, m,
+                            channel, "") == _value_error(record, sid, scheme, channel)
     window = dict(course_id="C", course_start=300_000, window_before=1,
                   window_after=2, late_cutoff=300_001, max_retries=2)
     assert pidctl.Roster._from_checked(frozenset({m}), **window) \
@@ -408,3 +416,103 @@ def test_scenario_radio_overrides():
     with pytest.raises(ScenarioError, match=r"^scenario\.devices\[0\]\.arrival: "
                        r"expected int, got a boolean$"):
         parse_scenario(data)
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_COORD = st.integers(-10**6, 10**6) | st.floats(allow_nan=False,
+                                                allow_infinity=False)
+
+
+def _optional(draw, block: dict, key: str, values) -> None:
+    """Leave ``key`` out of ``block``, set it to null, or set it to a value."""
+    choice = draw(st.sampled_from(["out", "null", "set"]))
+    if choice != "out":
+        block[key] = None if choice == "null" else draw(values)
+
+
+@st.composite
+def _device_blocks(draw):
+    """Valid device blocks with distinct MACs in any case; every optional
+    field left out, null or set."""
+    macs = draw(st.lists(st.text("0123456789abcdefABCDEF", min_size=12,
+                                 max_size=12),
+                         min_size=1, max_size=6, unique_by=str.upper))
+    blocks = []
+    for m in macs:
+        block = {"mac": m, "name": draw(_TEXT),
+                 "position": [draw(_COORD), draw(_COORD)]}
+        for key in ("powered", "discoverable", "refuse_push"):
+            _optional(draw, block, key, st.booleans())
+        _optional(draw, block, "drop_transfers", st.integers(0, 5))
+        _optional(draw, block, "arrival", st.integers(0, 10**6))
+        _optional(draw, block, "departure",
+                  st.integers((block.get("arrival") or 0) + 1, 2 * 10**6))
+        ids = draw(st.lists(st.integers(1, 99), max_size=4, unique=True))
+        if ids or draw(st.booleans()):
+            block["services"] = []
+        for sid in ids:
+            service = {"id": sid, "name": draw(_TEXT)}
+            _optional(draw, service, "channel", st.integers(1, 30))
+            _optional(draw, service, "path", _TEXT)
+            _optional(draw, service, "scheme", st.sampled_from(["http", "btgoep"]))
+            block["services"].append(service)
+        blocks.append(block)
+    return blocks
+
+
+def _constructed(block: dict) -> RadioDevice:
+    """The device the public constructors build from a device block."""
+    def get(obj, key, default):
+        return default if obj.get(key) is None else obj[key]
+
+    mac = block["mac"]
+    services = [ServiceRecord(s["id"], s["name"], ConnectionUrl(
+        get(s, "scheme", "http"), mac, get(s, "channel", 1), get(s, "path", "")))
+        for s in block.get("services") or ()]
+    x, y = block["position"]
+    return RadioDevice(mac, block["name"], (float(x), float(y)),
+                       get(block, "powered", True), get(block, "discoverable", True),
+                       services, get(block, "arrival", 0), block.get("departure"),
+                       get(block, "refuse_push", False),
+                       get(block, "drop_transfers", 0))
+
+
+@given(_device_blocks())
+def test_parsed_devices_equal_what_the_public_constructors_build(blocks):
+    sc = parse_scenario(_minimal(devices=blocks, local=blocks[0]["mac"]))
+    assert sc.devices == [_constructed(block) for block in blocks]
+    for device in sc.devices:
+        assert type(device.position[0]) is float is type(device.position[1])
+
+
+_SERVICE_BLOCK = {"id": 1, "name": "File Transfer", "channel": 9, "path": "ftp/"}
+
+
+@pytest.mark.parametrize("fault, field, message", [
+    ({"id": True}, ".id", "expected int, got a boolean"),
+    ({"channel": 9.0}, ".channel", "expected int, got float"),
+    ({"scheme": "a:b"}, "", "bad scheme: 'a:b'"),
+], ids=["bool-id", "float-channel", "bad-scheme"])
+@pytest.mark.parametrize("layout", ["one-per-device", "all-on-one-device"])
+def test_a_fault_in_the_last_of_many_identical_service_blocks_is_refused(
+        layout, fault, field, message):
+    """No check is skipped for a block that repeats earlier ones: ``true``
+    and ``9.0`` hash like ``1`` and ``9``, so a memo keyed by value would
+    let them through."""
+    n = 40
+    devices = [{"mac": "001122334455", "name": "client", "position": [0, 0]}]
+    if layout == "one-per-device":
+        for i in range(1, n + 1):
+            devices.append({"mac": f"0019E3A2{i:04X}", "name": "d",
+                            "position": [1, 0], "services": [dict(_SERVICE_BLOCK)]})
+        devices[-1]["services"][0].update(fault)
+        where = f"scenario.devices[{n}].services[0]"
+    else:
+        services = [{**_SERVICE_BLOCK, "id": sid} for sid in range(1, n + 1)]
+        services[-1].update(fault)
+        devices.append({"mac": "0019E3A20001", "name": "d", "position": [1, 0],
+                        "services": services})
+        where = f"scenario.devices[1].services[{n - 1}]"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(_minimal(devices=devices))
+    assert str(exc.value) == f"{where}{field}: {message}"

@@ -31,6 +31,7 @@ from pidsim.simnet import (
 )
 
 from .conftest import LOCAL, make_device, make_world, mac
+from .reference_inquiry import reference_inquiry
 from .reference_log import ReferenceLog
 
 
@@ -609,6 +610,98 @@ def test_inquiry_checks_state_at_each_answer_instant():
     expected = sorted((t, m) for m, t in instants.items() if m not in (off, hidden))
     assert _discoveries_to_window_end(w) == [(m, t) for t, m in expected]
     assert not w.device(late_off).powered
+
+
+# Positions on the x axis about the default 10 m range.
+_XS = (0.0, 4.0, 9.5, 10.0, 10.5, 20.0)
+
+
+@st.composite
+def _inquiry_worlds(draw):
+    """A world of at most 30 devices about to run one inquiry, as the
+    arguments ``_build_inquiry_world`` takes.
+
+    The window is short, so answer instants tie; presence windows start
+    and end inside it; and each scheduled action lands on an answer
+    instant, 1 ms before or 1 ms after it, and switches a device's or the
+    initiator's power, discoverability or position, logs a line, or
+    schedules a switch of that power for its own instant or of the
+    initiator's for the next one."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    duration = draw(st.integers(1, 24))
+    start = draw(st.integers(0, 20))
+    end = start + duration
+    n = draw(st.integers(0, 29))
+    devices = []
+    for i in range(n + 1):
+        stays = [0, 0, 0] if i else [0] * 6  # the initiator mostly stays
+        arrival = draw(st.sampled_from(stays + [draw(st.integers(0, end + 1))]))
+        departure = draw(st.sampled_from(
+            [None] * len(stays) + [draw(st.integers(arrival + 1, end + 2))]))
+        powered, discoverable = draw(st.sampled_from(
+            [(True, True), (True, True), (True, False), (False, True)]))
+        x = draw(st.sampled_from(_XS)) if i else 0.0
+        devices.append((x, powered or not i, discoverable, arrival, departure))
+    # Answer instants, from a twin of the world's generator.
+    twin = random.Random(seed)
+    instants = [start + 1 + twin.randrange(duration) for _ in range(n)]
+    actions = []
+    if n:
+        for _ in range(draw(st.integers(0, 16))):
+            at = draw(st.sampled_from(instants)) + draw(st.sampled_from([-1, 0, 1]))
+            target = draw(st.just(0) | st.integers(1, n))  # 0: the initiator
+            switch = draw(st.sampled_from(["powered", "discoverable", "position",
+                                           "log", "same_instant", "next_ms"]))
+            value = draw(st.sampled_from(_XS)) if switch == "position" \
+                else draw(st.booleans())
+            actions.append((at, target, switch, value))
+    return seed, duration, start, devices, actions
+
+
+def _build_inquiry_world(seed, duration, start, devices, actions):
+    """The world ``_inquiry_worlds`` describes, its clock at ``start``;
+    device 0 is the initiator, ``LOCAL``."""
+    w = SimWorld(seed=seed, params=RadioParams(inquiry_duration=duration))
+    macs = [LOCAL] + [mac(i) for i in range(1, len(devices))]
+    for m, (x, powered, discoverable, arrival, departure) in zip(macs, devices):
+        w.add_device(make_device(m, x=x, powered=powered, discoverable=discoverable,
+                                 arrival=arrival, departure=departure))
+    for k, (at, target, switch, value) in enumerate(actions):
+        dev = w.devices[macs[target]]
+
+        def act(w, dev=dev, switch=switch, value=value, k=k):
+            if switch == "position":
+                dev.position = (value, 0.0)
+            elif switch == "log":
+                w.emit("iteration_started", index=k)
+            elif switch == "same_instant":
+                w.schedule(w.now, lambda w: setattr(dev, "powered", value))
+            elif switch == "next_ms":
+                w.schedule(w.now + 1, lambda w: setattr(w.device(LOCAL),
+                                                        "powered", value))
+            else:
+                setattr(dev, switch, value)
+
+        w.schedule(at, act)
+    w.advance(start)
+    return w
+
+
+@given(_inquiry_worlds())
+def test_inquiry_matches_the_straightforward_reference(spec):
+    """The walk in quiet stretches gives what one ``advance`` and one
+    ``emit`` per answer give: the same log bytes, discoveries, generator
+    state, clock and queue."""
+    outcomes = []
+    for inquiry in (start_inquiry, reference_inquiry):
+        w = _build_inquiry_world(*spec)
+        try:
+            found = inquiry(w, LOCAL)
+        except PoweredOffError as exc:
+            found = str(exc)
+        outcomes.append((w.render_log(), found, w.rng.getstate(), w.now,
+                         [entry[:3] for entry in sorted(w._queue)]))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- piconet links -----------------------------------------------------------
