@@ -28,6 +28,8 @@ every frame, from ``wire_frames``, each checked against the packet size.
 A push attempt is one call, ``PushSession.push_file(sequence)``: CONNECT,
 the PUT sequence, DISCONNECT after a delivery, and the link closed on
 every path; it encodes nothing, so every attempt replays the same frames.
+The session offers the server the sequence's payload, and a server that
+reassembles exactly those bytes stores that one object in its inbox.
 The session and the server exchange raw frames: ``ObexServer.serve_push``
 takes the bytes of one frame and returns the bytes of its response.  The
 CONNECT and DISCONNECT frames are module constants; ``wire_frames``
@@ -341,29 +343,42 @@ def wire_frames(name: str, payload: bytes, max_packet: int) -> Iterator[bytes]:
 
 @dataclass(frozen=True)
 class PutSequence:
-    """A named file's PUT sequence as the bytes of its frames.
+    """A named file's PUT sequence as the bytes of its frames, with the
+    payload they carry.
 
     Encode it once per file with ``PutSequence.encode``; every push attempt
-    then sends these same frames.
+    then sends these same frames and offers ``payload`` to the server, which
+    stores that one object in each inbox it delivers to (see
+    ``ObexServer``).  ``payload`` is exactly ``bytes``, so no inbox shares a
+    buffer that can change.
     """
 
     name: str
-    size: int  # payload bytes
+    payload: bytes
     frames: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
         if not self.frames:
             raise ValueError("a PUT sequence needs at least one frame")
+        if type(self.payload) is not bytes:
+            raise TypeError("a PUT sequence's payload must be bytes")
+
+    @property
+    def size(self) -> int:
+        """Payload bytes."""
+        return len(self.payload)
 
     @classmethod
     def encode(cls, name: str, payload: bytes) -> PutSequence:
         """``wire_frames`` at ``DEFAULT_MAX_PACKET``, each frame checked
-        against the packet size."""
+        against the packet size.  The payload is kept as ``bytes(payload)``,
+        which copies nothing when it is ``bytes`` already and copies any
+        other buffer, such as a ``bytearray``."""
         frames = tuple(wire_frames(name, payload, DEFAULT_MAX_PACKET))
         for raw in frames:
             if len(raw) > DEFAULT_MAX_PACKET:
                 raise ProtocolError("frame exceeds the packet size")
-        return cls(name, len(payload), frames)
+        return cls(name, bytes(payload), frames)
 
 
 # -- server side ------------------------------------------------------------
@@ -379,10 +394,16 @@ _CONTINUATION = struct.Struct(">BHBH")
 
 
 class ObexServer:
-    """Receiving side: reassembles PUT sequences into the device inbox."""
+    """Receiving side: reassembles PUT sequences into the device inbox.
+
+    ``offered`` is the payload the client sends, or None; ``PushSession``
+    sets it.  When a reassembled payload equals it, the inbox stores the
+    offered object itself, so one file pushed to many devices is held once.
+    """
 
     def __init__(self, device: RadioDevice) -> None:
         self.device = device
+        self.offered: bytes | None = None
         self._name: str | None = None
         self._chunks: list[memoryview] = []
 
@@ -397,7 +418,8 @@ class ObexServer:
         ``ProtocolError`` that ``decode_frame`` raises for it, before the
         server's state is touched.  The response is Continue for non-final
         PUT, Success after the final one (at which point the reassembled
-        payload lands in the device inbox), Forbidden when the device
+        payload lands in the device inbox: the ``offered`` object when the
+        two are equal, else the reassembled bytes), Forbidden when the device
         refuses pushes, BadRequest on a malformed sequence.
 
         A shape guard stands in front of the one parser: a PUT frame whose
@@ -457,7 +479,10 @@ class ObexServer:
         else:
             # EndOfBody is taken only after a Name and only in a final frame.
             if end_seen:
-                device.inbox[name] = b"".join(chunks)
+                received = b"".join(chunks)
+                if received == self.offered:
+                    received = self.offered  # frees the joined copy now
+                device.inbox[name] = received
                 self._reset()
                 return _RESPONSES[SUCCESS]
             if not final and name is not None:
@@ -532,6 +557,7 @@ class PushSession:
         try:
             if not self.link.open:
                 raise SimError("link is closed")
+            self.server.offered = seq.payload
             self._exchange((_CONNECT_FRAME,))
             outcome = self._put(seq)
             if outcome.delivered:

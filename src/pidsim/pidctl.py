@@ -189,7 +189,8 @@ class DeliveryReport:
 def choose_push_target(ftp: set[MacId], state: SessionState) -> list[MacId]:
     """Pending members with a file-transfer record, in the order they were
     first discovered (ties by MAC); delivery walks this list.  Only members
-    are ever queried, so ``ftp`` holds no one else."""
+    are ever queried, so ``ftp`` holds no one else, and ``run_proactive``
+    drops a member from it once closed, so a pass walks only open ones."""
     eligible = [mac for mac in ftp if mac in state.pending]
     eligible.sort(key=lambda m: (state.first_seen[m], m))
     return eligible
@@ -228,7 +229,7 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
     world.device(local)  # fail fast on a missing client device
 
     state = SessionState(pending=set(roster.members))
-    ftp: set[MacId] = set()  # queried members with a file-transfer record
+    ftp: set[MacId] = set()  # open queried members with a file-transfer record
     non_members: dict[MacId, SimTime] = {}
     iterations: list[IterationStats] = []
 
@@ -290,6 +291,8 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
                     state.close(mac, RETRIES_EXHAUSTED)
                     world.emit("member_skipped", mac=mac,
                                reason=RETRIES_EXHAUSTED)
+            if mac not in state.pending:
+                ftp.remove(mac)
 
         iterations.append(IterationStats(
             index, iter_started, len(discovered), len(newly),

@@ -315,8 +315,13 @@ class SimWorld:
     # -- device registry -------------------------------------------------
 
     def add_device(self, device: RadioDevice) -> RadioDevice:
+        """Register ``device`` and queue its arrival and departure.  A
+        refused device (a duplicate MAC, or a departure already past) leaves
+        the world as it was."""
         if device.mac in self.devices:
             raise ValueError(f"duplicate MAC {device.mac}")
+        if device.departure is not None and device.departure < self.now:
+            raise ValueError("cannot schedule in the past")
         self.devices[device.mac] = device
         self._windows = None
         if device.arrival > self.now:

@@ -37,6 +37,7 @@ from pidsim.obexlite import (
     put_frames,
     wire_frames,
 )
+from pidsim.pidctl import Roster, run_proactive
 from .conftest import LOCAL, ftp_record, make_device, make_world, mac
 from .reference_obex import reference_decode
 from .reference_server import ReferenceServer, decode_one
@@ -600,19 +601,26 @@ def _served(serve, raw: bytes):
            str.encode),
        opcode=st.integers(0, 0xFF), hid=st.integers(0, 0xFF),
        extra=st.integers(0, 0xFF), second=st.sampled_from(SECOND_HEADERS),
-       cut=st.integers(0, 0xFF))
+       cut=st.integers(0, 0xFF),
+       offer=st.sampled_from(["none", "equal", "one-byte", "longer"]))
 def test_serve_push_answers_near_continuation_frames_like_the_reference(
-        chunk, opcode, hid, extra, second, cut):
+        chunk, opcode, hid, extra, second, cut, offer):
     """Every frame one edit away from a continuation frame, sent to a
     server idle or mid-sequence, ready, refusing or powered off, gets the
-    reference's response or exception, and leaves the same state behind."""
+    reference's response or exception, and leaves the same state behind.
+    The server is offered nothing, the valid sequence's payload, or bytes
+    that differ from it; its inbox still equals the reference's."""
     opening = encode_frame(ObexFrame(PUT, (Name("f.bin"), Length(3),
                                            Body(b"ab"))))
     final = encode_frame(ObexFrame(PUT_FINAL, (EndOfBody(b"z"),)))
     frames = _near_continuations(chunk, opcode, hid, extra, second, cut)
+    sent = b"ab" + chunk + b"z"
+    offered = {"none": None, "equal": sent, "one-byte": sent[:-1] + b"y",
+               "longer": sent + b"z"}[offer]
     for opened, condition in SERVER_STATES:
         for label, raw in frames.items():
             server = _server()
+            server.offered = offered
             reference = ReferenceServer(make_device(mac(1)))
             servers = [(server.serve_push, server.device),
                        (reference.serve, reference.device)]
@@ -626,9 +634,60 @@ def test_serve_push_answers_near_continuation_frames_like_the_reference(
                 device.refuse_push, device.powered = False, True
                 results.append((got, _served(serve, final), device.inbox))
             assert results[0] == results[1], (opened, condition, label, raw)
+            assert all(type(v) is bytes for v in server.device.inbox.values())
             if (label, opened, condition) == ("valid", True, "ready"):
                 assert results[0][0] == encode_frame(ObexFrame(CONTINUE))
-                assert results[0][2] == {"f.bin": b"ab" + chunk + b"z"}
+                assert results[0][2] == {"f.bin": sent}
+                assert (server.device.inbox["f.bin"] is offered) \
+                    == (offer == "equal")
+
+
+# -- shared inboxes -------------------------------------------------------------
+
+
+def _ftp_roster(members: int) -> Roster:
+    return Roster("NCP-101", frozenset(mac(i) for i in range(1, members + 1)),
+                  course_start=240_000)
+
+
+def test_every_inbox_is_the_payload_that_was_sent():
+    payload = random.Random(5).randbytes(1 << 20)
+    w = make_world(n_others=4, ftp=True)
+    report = run_proactive(w, _ftp_roster(4), ("big.bin", payload), local=LOCAL)
+    assert report.delivered_count == 4
+    for i in range(1, 5):
+        assert w.device(mac(i)).inbox["big.bin"] is payload
+
+
+@pytest.mark.parametrize("change", ["equal", "one-byte", "shorter", "longer"])
+def test_a_server_stores_the_offer_only_when_it_reassembles_it(change):
+    payload = random.Random(6).randbytes(5000)
+    offered = {"equal": bytes(bytearray(payload)),
+               "one-byte": payload[:-1] + bytes([payload[-1] ^ 1]),
+               "shorter": payload[:-1], "longer": payload + b"\0"}[change]
+    server = _server()
+    server.offered = offered
+    codes = [decode_frame(server.serve_push(raw))[0].opcode
+             for raw in wire_frames("f.bin", payload, DEFAULT_MAX_PACKET)]
+    assert codes[-1] == SUCCESS
+    stored = server.device.inbox["f.bin"]
+    assert stored == payload and type(stored) is bytes
+    assert (stored is offered) == (change == "equal")
+
+
+def test_a_bytearray_payload_is_copied_once_and_never_shared():
+    payload = bytearray(random.Random(7).randbytes(64 << 10))
+    sent = bytes(payload)
+    w = make_world(n_others=3, ftp=True)
+    report = run_proactive(w, _ftp_roster(3), ("f.bin", payload), local=LOCAL)
+    assert report.delivered_count == 3
+    payload[:] = bytes(len(payload))
+    payload += b"more"
+    inboxes = [w.device(mac(i)).inbox["f.bin"] for i in range(1, 4)]
+    assert all(type(v) is bytes and v == sent for v in inboxes)
+    assert inboxes[1] is inboxes[0] and inboxes[2] is inboxes[0]
+    with pytest.raises(TypeError, match="must be bytes"):
+        PutSequence("f.bin", bytearray(b"ab"), (b"frame",))
 
 
 # -- client sessions ------------------------------------------------------------

@@ -88,6 +88,31 @@ def test_choose_push_target_excludes_closed_members():
     assert choose_push_target({mac(1), mac(2), mac(3)}, state) == [mac(2)]
 
 
+def test_a_lossy_run_walks_only_open_members_and_targets_the_same(monkeypatch):
+    """Over classroom200 (link loss, refusals, scripted drops), each pass
+    hands ``choose_push_target`` only open members, and it returns the list
+    it returns over every queried file-transfer member so far."""
+    scenario = load_scenario(
+        os.path.join(os.path.dirname(__file__), "data", "classroom200.scn"))
+    w = scenario.build_world(0)
+    queried = set()
+
+    def recording(ftp, state):
+        queried.update(ftp)
+        assert ftp <= state.pending
+        targets = choose_push_target(ftp, state)
+        assert targets == choose_push_target(queried, state)
+        return targets
+
+    monkeypatch.setattr(pidctl, "choose_push_target", recording)
+    report = run_proactive(w, scenario.roster, scenario.resolve_payload(),
+                           inquiry_interval=scenario.inquiry_interval,
+                           local=scenario.local)
+    closed = {m for m, o in report.outcomes.items()
+              if o.outcome in (DELIVERED, REFUSED, RETRIES_EXHAUSTED)}
+    assert closed <= queried and len(closed) > 80
+
+
 # -- stepped walkthrough ----------------------------------------------------------
 
 

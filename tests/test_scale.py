@@ -1,5 +1,5 @@
 """Scale rungs: crowd_churn's shape at 10² and 10³ devices, asserted by exact
-counts rather than times.
+counts rather than times, and a run's memory against its member count.
 
 Each rung is ``perfbench/workloads.py``'s crowd_churn scenario with every
 count scaled by devices / 4 000, the same window and radio, corpus slot 7
@@ -12,11 +12,14 @@ import gc
 import os
 import random
 import sys
+import tracemalloc
 
 import pytest
 
 from pidsim import pidctl, scenario
 from pidsim.simnet import SimWorld
+
+from .conftest import LOCAL, make_world, mac
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -170,3 +173,29 @@ def test_inquiry_advances_grow_with_queued_events_not_answers(calls):
         assert rung["inquiry_advances"] <= \
             rung["inquiry_fired"] + rung["inquiries"], rung
         assert rung["inquiry_advances"] < rung["discovered"] // 4, rung
+
+
+def _run_peak(members: int, payload: bytes) -> int:
+    """Traced peak memory of ``run_proactive`` delivering ``payload`` to
+    ``members`` lossless members with a file-transfer record."""
+    world = make_world(n_others=members, ftp=True)
+    roster = pidctl.Roster("NCP-101", frozenset(mac(i) for i in range(1, members + 1)),
+                           course_start=240_000)
+    tracemalloc.start()
+    try:
+        report = pidctl.run_proactive(world, roster, ("big.bin", payload),
+                                      local=LOCAL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.delivered_count == members
+    return peak
+
+
+def test_run_memory_grows_with_the_payload_not_members_times_payload():
+    """Every inbox holds the one payload that was sent, so 12 more members
+    add less than one payload to the peak.  Storing each member's
+    reassembled copy instead adds about twelve."""
+    payload = bytes(256 << 10)
+    small, large = (_run_peak(n, payload) for n in (4, 16))
+    assert large - small < len(payload), (small, large)

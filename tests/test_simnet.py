@@ -80,6 +80,22 @@ def test_device_presence_window():
         make_device(mac(2), arrival=50, departure=50)
 
 
+def test_a_device_departed_before_now_is_refused_without_a_trace():
+    w = make_world(n_others=1)
+    w.advance(100)
+    before = (dict(w.devices), list(w._queue), w._sched_seq,
+              w.presence_windows())
+    gone = make_device(mac(2), arrival=0, departure=50)
+    for _ in range(2):  # refused the same way again, not as a duplicate
+        with pytest.raises(ValueError, match="cannot schedule in the past"):
+            w.add_device(gone)
+        assert (dict(w.devices), list(w._queue), w._sched_seq,
+                w.presence_windows()) == before
+    # a device that departs later is still taken, its arrival already past
+    w.add_device(make_device(mac(2), arrival=0, departure=150))
+    assert mac(2) in w.devices and w.presence_windows()[-1][0] == mac(2)
+
+
 # -- advance -----------------------------------------------------------------
 
 
