@@ -41,16 +41,20 @@ and one header walker (``_headers``), which walks the whole frame and
 returns its headers as a list, so a malformed frame raises before the
 server's state changes.  ``serve_push`` then runs the reassembly state
 machine itself.  In front of that parser, a shape guard takes a
-well-formed continuation frame (PUT, one Body header, a sequence open) in
-the one ``serve_push`` call, with the same answer.  The session reads the
-opcode of each reply from a table of the four encoded responses and parses
-any other reply in full, so a malformed one still raises.
+well-formed continuation frame (PUT, one Body header) in the one
+``serve_push`` call, with the same answer.  A frame's parse is kept in a
+memo that the ``PutSequence`` owns and every member's server shares, so
+each frame of a sequence is checked once per sequence, the first time any
+server receives it, and the memo goes when the sequence does.  The
+session reads the opcode of each reply from a table of the four encoded
+responses and parses any other reply in full, so a malformed one still
+raises.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import PoweredOffError, ProtocolError, SimError
@@ -249,6 +253,12 @@ def _headers(view: memoryview, pos: int,
     return found
 
 
+# A frame's parse as ``ObexServer`` keeps it: a continuation frame's chunk,
+# or any other frame's (opcode, headers).
+_Parse = Union[memoryview,
+               tuple[int, tuple[tuple[int, Union[str, int, memoryview]], ...]]]
+
+
 def decode_frame(data: bytes) -> tuple[ObexFrame, bytes]:
     """Decode one frame; returns (frame, remainder-after-the-frame)."""
     opcode, total, pos = _frame_prefix(data)
@@ -350,12 +360,16 @@ class PutSequence:
     then sends these same frames and offers ``payload`` to the server, which
     stores that one object in each inbox it delivers to (see
     ``ObexServer``).  ``payload`` is exactly ``bytes``, so no inbox shares a
-    buffer that can change.
+    buffer that can change.  The sequence also holds the servers' parse of
+    its frames, so each frame is checked once per sequence, by the first
+    server it reaches; the parse is not part of the sequence's value.
     """
 
     name: str
     payload: bytes
     frames: tuple[bytes, ...]
+    _parsed: dict[bytes, _Parse] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.frames:
@@ -399,11 +413,18 @@ class ObexServer:
     ``offered`` is the payload the client sends, or None; ``PushSession``
     sets it.  When a reassembled payload equals it, the inbox stores the
     offered object itself, so one file pushed to many devices is held once.
+
+    ``parsed`` maps the bytes of each frame served to its parse: a
+    continuation frame's chunk, or any other frame's opcode and headers.
+    ``PushSession`` sets it to the ``PutSequence``'s own dict, so the
+    servers of every member share it for one sequence; a server built on
+    its own starts with an empty one.
     """
 
     def __init__(self, device: RadioDevice) -> None:
         self.device = device
         self.offered: bytes | None = None
+        self.parsed: dict[bytes, _Parse] = {}
         self._name: str | None = None
         self._chunks: list[memoryview] = []
 
@@ -422,33 +443,46 @@ class ObexServer:
         two are equal, else the reassembled bytes), Forbidden when the device
         refuses pushes, BadRequest on a malformed sequence.
 
-        A shape guard stands in front of the one parser: a PUT frame whose
+        A frame's parse depends on its bytes alone, so a ``bytes`` frame is
+        looked up in ``parsed`` first, and parsed only when it is not there.
+        A ``bytearray`` or ``memoryview`` frame is parsed every time and
+        never stored: it is not hashable, or it can change.  To parse, a
+        shape guard stands in front of the one parser: a PUT frame whose
         declared length is ``len(raw)`` and that holds exactly one Body
-        header, sent while a sequence is open, is a well-formed
-        continuation, so its chunk is taken straight after the power and
-        refusal checks.  The guard is not a second parser: it accepts only
-        frames the full parser accepts, answers them the same way, and
-        raises no ``ProtocolError`` of its own.  Every other frame is
-        parsed in full.
+        header is a well-formed continuation, and its chunk is its parse.
+        The guard is not a second parser: it accepts only frames the full
+        parser accepts and raises no ``ProtocolError`` of its own.  Every
+        other frame is parsed in full.  A frame that raises is not stored.
+        A chunk sent while a sequence is open is taken straight after the
+        power and refusal checks; sent to an idle server, it is answered
+        like the one Body header it is.
         """
-        if len(raw) >= _CONTINUATION.size and self._name is not None:
-            opcode, total, hid, size = _CONTINUATION.unpack_from(raw)
-            if opcode == PUT and hid == HDR_BODY and total == len(raw) \
-                    and size == total - _CONTINUATION.size:
-                device = self.device
-                if not device.powered:
-                    raise PoweredOffError(f"{device.mac} is powered off")
-                if device.refuse_push:
-                    self._reset()
-                    return _RESPONSES[FORBIDDEN]
-                self._chunks.append(memoryview(raw)[_CONTINUATION.size:])
-                return _RESPONSES[CONTINUE]
-        view = memoryview(raw)
-        opcode, total, pos = _frame_prefix(view, whole=True)
-        headers = _headers(view, pos, total)
+        keyed = type(raw) is bytes
+        entry = self.parsed.get(raw) if keyed else None
+        if entry is None:
+            if len(raw) >= _CONTINUATION.size:
+                opcode, total, hid, size = _CONTINUATION.unpack_from(raw)
+                if opcode == PUT and hid == HDR_BODY and total == len(raw) \
+                        and size == total - _CONTINUATION.size:
+                    entry = memoryview(raw)[_CONTINUATION.size:]
+            if entry is None:
+                view = memoryview(raw)
+                opcode, total, pos = _frame_prefix(view, whole=True)
+                entry = opcode, tuple(_headers(view, pos, total))
+            if keyed:
+                self.parsed[raw] = entry
         device = self.device
         if not device.powered:
             raise PoweredOffError(f"{device.mac} is powered off")
+        if type(entry) is memoryview:
+            if self._name is not None:
+                if device.refuse_push:
+                    self._reset()
+                    return _RESPONSES[FORBIDDEN]
+                self._chunks.append(entry)
+                return _RESPONSES[CONTINUE]
+            entry = PUT, ((HDR_BODY, entry),)
+        opcode, headers = entry
         if opcode in (CONNECT, DISCONNECT):
             self._reset()
             return _RESPONSES[SUCCESS]
@@ -558,6 +592,7 @@ class PushSession:
             if not self.link.open:
                 raise SimError("link is closed")
             self.server.offered = seq.payload
+            self.server.parsed = seq._parsed
             self._exchange((_CONNECT_FRAME,))
             outcome = self._put(seq)
             if outcome.delivered:

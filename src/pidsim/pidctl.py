@@ -220,13 +220,13 @@ def run_proactive(world: SimWorld, roster: Roster, file: tuple[str, bytes],
     Members are served exactly once; non-members are never served; link
     failures are retried on later passes up to the roster's retry budget.
     """
-    seq = PutSequence.encode(*file)  # every attempt sends these frames
     if inquiry_interval <= 0:
         raise ValueError("inquiry_interval must be positive")
     # Kept only because perfbench/runner.py passes params=scenario.radio.
     if params is not None and params != world.params:
         raise ValueError("params must be None or world.params")
     world.device(local)  # fail fast on a missing client device
+    seq = PutSequence.encode(*file)  # every attempt sends these frames
 
     state = SessionState(pending=set(roster.members))
     ftp: set[MacId] = set()  # open queried members with a file-transfer record

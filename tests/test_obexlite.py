@@ -1,8 +1,10 @@
 """Push protocol: codec bijection, chunking, server reassembly, sessions."""
 
 import gc
+import itertools
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import example, given
@@ -61,6 +63,8 @@ GOLDEN = [
     ("02000848" + "00026869", ObexFrame(PUT, (Body(b"hi"),))),
     # ConnectionId 0xDEADBEEF: 02 0008 | CB DEADBEEF
     ("020008CBDEADBEEF", ObexFrame(PUT, (ConnectionId(0xDEADBEEF),))),
+    # CONNECT with the largest max packet the 16-bit field holds
+    ("8000071000FFFF", ObexFrame(CONNECT, (), ConnectInfo(max_packet=0xFFFF))),
 ]
 
 
@@ -288,6 +292,16 @@ def test_encode_rejects_oversize_frame():
     headers = tuple(Body(b"x" * 60_000) for _ in range(2))
     with pytest.raises(ProtocolError, match="oversize-frame"):
         encode_frame(ObexFrame(PUT, headers))
+    # a frame of the largest declared length encodes; a header value that
+    # fills its 16-bit field overflows the frame, and one byte more its field
+    largest = obexlite.MAX_FRAME_LENGTH
+    overhead = obexlite.FRAME_PREFIX + obexlite.VALUE_HEADER_PREFIX
+    body = Body(bytes(largest - overhead))
+    assert len(encode_frame(ObexFrame(PUT, (body,)))) == largest
+    for size, message in [(0xFFFF, f"{0xFFFF + overhead} bytes exceeds 65535"),
+                          (0x10000, "header value exceeds 65535 bytes")]:
+        with pytest.raises(ProtocolError, match=f"^oversize-frame: {message}$"):
+            encode_frame(ObexFrame(PUT, (Body(bytes(size)),)))
 
 
 def test_encode_requires_connect_block_exactly_for_connect():
@@ -585,7 +599,8 @@ SECOND_HEADERS = [
                    Name(""), Length(5), ConnectionId(7))
 ] + [bytes([0x7F])]
 
-SERVER_STATES = [(opened, condition) for opened in (False, True)
+SERVER_STATES = [(warm, opened, condition) for warm in (False, True)
+                 for opened in (False, True)
                  for condition in ("ready", "refusing", "powered-off")]
 
 
@@ -609,7 +624,9 @@ def test_serve_push_answers_near_continuation_frames_like_the_reference(
     server idle or mid-sequence, ready, refusing or powered off, gets the
     reference's response or exception, and leaves the same state behind.
     The server is offered nothing, the valid sequence's payload, or bytes
-    that differ from it; its inbox still equals the reference's."""
+    that differ from it; its inbox still equals the reference's.  The
+    server starts with no parsed frames, or with a memo that another
+    server warmed with the valid sequence and the frame under test."""
     opening = encode_frame(ObexFrame(PUT, (Name("f.bin"), Length(3),
                                            Body(b"ab"))))
     final = encode_frame(ObexFrame(PUT_FINAL, (EndOfBody(b"z"),)))
@@ -617,10 +634,15 @@ def test_serve_push_answers_near_continuation_frames_like_the_reference(
     sent = b"ab" + chunk + b"z"
     offered = {"none": None, "equal": sent, "one-byte": sent[:-1] + b"y",
                "longer": sent + b"z"}[offer]
-    for opened, condition in SERVER_STATES:
+    for warm, opened, condition in SERVER_STATES:
         for label, raw in frames.items():
             server = _server()
             server.offered = offered
+            if warm:
+                warmer = _server()
+                warmer.parsed = server.parsed
+                for frame in (opening, frames["valid"], raw, final):
+                    _served(warmer.serve_push, frame)
             reference = ReferenceServer(make_device(mac(1)))
             servers = [(server.serve_push, server.device),
                        (reference.serve, reference.device)]
@@ -633,13 +655,110 @@ def test_serve_push_answers_near_continuation_frames_like_the_reference(
                 got = _served(serve, raw)
                 device.refuse_push, device.powered = False, True
                 results.append((got, _served(serve, final), device.inbox))
-            assert results[0] == results[1], (opened, condition, label, raw)
+            assert results[0] == results[1], (warm, opened, condition, label,
+                                              raw)
             assert all(type(v) is bytes for v in server.device.inbox.values())
             if (label, opened, condition) == ("valid", True, "ready"):
                 assert results[0][0] == encode_frame(ObexFrame(CONTINUE))
                 assert results[0][2] == {"f.bin": sent}
                 assert (server.device.inbox["f.bin"] is offered) \
                     == (offer == "equal")
+
+
+# -- the parse memo --------------------------------------------------------------
+
+
+def _session_frames(payload: bytes) -> list[bytes]:
+    """Every frame of one push of ``payload``: CONNECT, the PUT sequence
+    and DISCONNECT."""
+    return [encode_frame(ObexFrame(CONNECT, (), ConnectInfo())),
+            *PutSequence.encode("f.bin", payload).frames,
+            encode_frame(ObexFrame(DISCONNECT))]
+
+
+def _answers(server: ObexServer, frames) -> tuple[list, dict]:
+    """What ``server`` answers to each frame in turn, and its inbox after."""
+    return [_served(server.serve_push, raw) for raw in frames], \
+        server.device.inbox
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(
+    ["ready", "refusing", "powered-off"])))
+def test_one_memo_serves_ready_refusing_and_powered_off_servers_alike(order):
+    payload = random.Random(10).randbytes(3000)
+    frames = _session_frames(payload)
+    memo = {}
+    for condition in order:
+        answers = []
+        for parsed in (memo, {}):
+            server = _server(refuse_push=condition == "refusing",
+                             powered=condition != "powered-off")
+            server.offered = payload
+            server.parsed = parsed
+            answers.append(_answers(server, frames))
+        assert answers[0] == answers[1], condition
+    assert len(memo) == len(set(frames)) == len(frames)
+
+
+@pytest.mark.parametrize("wrap", [
+    bytearray, memoryview, lambda raw: memoryview(bytearray(raw))],
+    ids=["bytearray", "memoryview", "writable-memoryview"])
+def test_a_frame_that_is_not_bytes_is_served_like_its_bytes_but_not_kept(wrap):
+    payload = random.Random(11).randbytes(3000)
+    frames = _session_frames(payload)
+    plain = _server()
+    plain.offered = payload
+    expected = _answers(plain, frames)
+    assert expected[1] == {"f.bin": payload}
+    # a fresh memo, or one already holding every frame's bytes
+    for parsed in ({}, plain.parsed):
+        kept = dict(parsed)
+        server = _server()
+        server.offered = payload
+        server.parsed = parsed
+        assert _answers(server, map(wrap, frames)) == expected
+        assert parsed.keys() == kept.keys()
+        assert all(parsed[raw] is entry for raw, entry in kept.items())
+        assert all(type(raw) is bytes for raw in parsed)
+
+
+def test_a_run_checks_each_frame_once_and_keeps_no_parse(monkeypatch):
+    """The members' servers share the sequence's memo: it ends with one
+    entry per distinct frame sent, no frame's headers are walked twice,
+    and nothing of it outlives the run."""
+    sequences, sent, memos, walked = [], [], [], []
+
+    def encode(name, payload, _encode=PutSequence.encode):
+        sequences.append(_encode(name, payload))
+        return sequences[-1]
+
+    def serve_push(self, raw, _serve=ObexServer.serve_push):
+        sent.append(raw)
+        memos.append(self.parsed)
+        return _serve(self, raw)
+
+    def headers(view, pos, total, _headers=obexlite._headers):
+        walked.append(bytes(view))
+        return _headers(view, pos, total)
+
+    monkeypatch.setattr(PutSequence, "encode", encode)
+    monkeypatch.setattr(ObexServer, "serve_push", serve_push)
+    monkeypatch.setattr(obexlite, "_headers", headers)
+    w = make_world(n_others=4, ftp=True)
+    w.device(mac(2)).drop_transfers = 1
+    payload = random.Random(12).randbytes(20_000)
+    report = run_proactive(w, _ftp_roster(4), ("f.bin", payload), local=LOCAL)
+    assert report.delivered_count == 4
+    [seq] = sequences
+    memo = seq._parsed
+    assert all(parsed is memo for parsed in memos)
+    assert len(sent) > 4 * len(seq.frames)
+    assert set(memo) == set(sent)
+    assert len(walked) == len(set(walked)) == 4  # CONNECT, opening, final, DISCONNECT
+    chunk = weakref.ref(memo[seq.frames[1]])
+    del sequences[:], memos[:], seq, memo
+    gc.collect()
+    assert chunk() is None
 
 
 # -- shared inboxes -------------------------------------------------------------
@@ -884,11 +1003,8 @@ def test_push_file_rejects_a_reply_with_a_trailing_byte():
     assert not link.open
 
 
-def _counted_push(size: int) -> tuple[int, int]:
-    """(Python calls, frames sent) of one delivered push of ``size`` bytes."""
-    w, link = _linked_world()
-    session = PushSession(w, link)
-    seq = PutSequence.encode("cpi.txt", bytes(size))
+def _counted_push(session: PushSession, seq: PutSequence) -> tuple[int, int]:
+    """(Python calls, frames sent) of one delivered ``session.push_file(seq)``."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -914,11 +1030,23 @@ def _counted_push(size: int) -> tuple[int, int]:
     return calls, outcome.frames_sent
 
 
+def _counted_pushes(size: int) -> list[tuple[int, int]]:
+    """``_counted_push`` of a fresh sequence of ``size`` random bytes, to
+    one member and then to a second one: the first push is the first time
+    any server sees each frame, the second finds them all parsed."""
+    w = make_world(n_others=2, ftp=True)
+    seq = PutSequence.encode("cpi.txt", random.Random(size).randbytes(size))
+    return [_counted_push(PushSession(w, w.connect(LOCAL, mac(i))), seq)
+            for i in (1, 2)]
+
+
 def test_each_continuation_frame_costs_one_python_call():
-    # serve_push alone: its shape guard takes the chunk without the prefix
-    # check or the header walk, the frame is encoded already and the
-    # response is looked up, not parsed.
-    calls_1, frames_1 = _counted_push(50_000)
-    calls_2, frames_2 = _counted_push(200_000)
-    assert frames_2 > frames_1
-    assert (calls_2 - calls_1) / (frames_2 - frames_1) <= 1
+    # serve_push alone, on a frame's first sighting as on a later one: its
+    # shape guard takes the chunk without the prefix check or the header
+    # walk, the frame is encoded already and the response is looked up,
+    # not parsed.  A random payload makes every continuation frame a new
+    # one, so no frame's first parse is hidden behind an equal frame's.
+    small, large = _counted_pushes(50_000), _counted_pushes(200_000)
+    for (calls_1, frames_1), (calls_2, frames_2) in zip(small, large):
+        assert frames_2 > frames_1
+        assert (calls_2 - calls_1) / (frames_2 - frames_1) <= 1

@@ -68,6 +68,7 @@ def test_roster_validation():
         _roster([mac(1)], late_cutoff=700_000)  # outside the window
     with pytest.raises(ValueError):
         _roster([mac(1)], max_retries=0)
+    assert _roster([mac(1)], max_retries=1).max_retries == 1
 
 
 # -- choose_push_target ----------------------------------------------------------
@@ -174,6 +175,19 @@ def test_run_stepped_reads_file_from_path(tmp_path):
                                        file_path=str(payload_file)))
     assert not report.aborted
     # receivers see the base name, not the sender's directory layout
+    assert w.device(mac(3)).inbox == {"notes.txt": b"week one"}
+    # an inline payload wins over the configured path, and a path typed at
+    # the prompt that differs from the configured one wins over the payload
+    w = _office_world()
+    run_stepped(w, StepConfig(local=LOCAL, payload=b"inline",
+                              file_path=str(payload_file)))
+    assert w.device(mac(3)).inbox == {"cpi.txt": b"inline"}
+    w = _office_world()
+
+    def typed(prompt):
+        return str(payload_file) if "File path" in prompt else ""
+
+    run_stepped(w, StepConfig(local=LOCAL, payload=b"inline", ask=typed))
     assert w.device(mac(3)).inbox == {"notes.txt": b"week one"}
 
 
@@ -382,13 +396,43 @@ def test_run_proactive_retries_exhausted():
     assert report.outcomes[mac(1)].outcome == RETRIES_EXHAUSTED
     assert report.outcomes[mac(1)].attempts == 3
     assert w.device(mac(1)).inbox == {}
+    # a budget of one ends the member at its first failure
+    w, roster = _classroom(n_members=1, max_retries=1)
+    w.device(mac(1)).drop_transfers = 1
+    report = run_proactive(w, roster, FILE, local=LOCAL)
+    assert report.outcomes[mac(1)].outcome == RETRIES_EXHAUSTED
+    assert report.outcomes[mac(1)].attempts == 1
+    assert w.device(mac(1)).inbox == {}
+
+
+def test_run_proactive_checks_its_arguments_before_encoding(monkeypatch):
+    w, roster = _classroom(n_members=1)
+    encoded = []
+    monkeypatch.setattr(pidctl.PutSequence, "encode",
+                        lambda *file: encoded.append(file))
+    with pytest.raises(ValueError, match="inquiry_interval must be positive"):
+        run_proactive(w, roster, FILE, inquiry_interval=0, local=LOCAL)
+    with pytest.raises(ValueError, match="world.params"):
+        run_proactive(w, roster, FILE, params=simnet.RadioParams(range_m=1.0),
+                      local=LOCAL)
+    with pytest.raises(UnknownDeviceError):
+        run_proactive(w, roster, FILE, local=mac(99))
+    assert encoded == [] and w.log == [] and w.now == 0
 
 
 def test_run_proactive_random_loss_injection():
-    # certain loss: every transfer fails, retries exhaust, nothing lands
-    w, roster = _classroom(n_members=2)
-    w.loss_probability = 1.0
+    # certain loss: every started transfer is lost, retries exhaust,
+    # nothing lands
+    classroom, roster = _classroom(n_members=2)
+    w = simnet.SimWorld(seed=5, loss_probability=1.0)
+    for device in classroom.devices.values():
+        w.add_device(device)
     report = run_proactive(w, roster, FILE, local=LOCAL)
+    started = [e for e in w.log if e.name == "transfer_started"]
+    ended = [dict(e.fields)["reason"] for e in w.log
+             if e.name.startswith("transfer_") and e.name != "transfer_started"]
+    assert len(started) == 2 * roster.max_retries
+    assert ended == ["link-lost"] * len(started)
     assert report.delivered_count == 0
     assert all(o.outcome == RETRIES_EXHAUSTED for o in report.outcomes.values())
     assert all(w.device(m).inbox == {} for m in roster.members)

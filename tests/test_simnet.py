@@ -91,9 +91,12 @@ def test_a_device_departed_before_now_is_refused_without_a_trace():
             w.add_device(gone)
         assert (dict(w.devices), list(w._queue), w._sched_seq,
                 w.presence_windows()) == before
-    # a device that departs later is still taken, its arrival already past
+    # a device that departs later is still taken, its arrival already past,
+    # and so is one that departs at this very instant
     w.add_device(make_device(mac(2), arrival=0, departure=150))
     assert mac(2) in w.devices and w.presence_windows()[-1][0] == mac(2)
+    w.add_device(make_device(mac(3), arrival=0, departure=w.now))
+    assert mac(3) in w.devices
 
 
 # -- advance -----------------------------------------------------------------
@@ -354,9 +357,10 @@ def test_log_view_builds_events_only_when_asked(monkeypatch):
     assert [e.seq for e in w.log[1:3]] == [1, 2] and len(built) == 6
     assert next(iter(w.log)).seq == 0 and len(built) == 7
     assert w.log != [] and list(w.log) == w.log[:] == w.log
-    with pytest.raises(IndexError):
+    assert w.log[0].seq == 0
+    with pytest.raises(IndexError, match="^log index out of range$"):
         w.log[n]
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="^log index out of range$"):
         w.log[-n - 1]
 
 
