@@ -29,7 +29,11 @@ A push attempt is one call, ``PushSession.push_file(sequence)``: CONNECT,
 the PUT sequence, DISCONNECT after a delivery, and the link closed on
 every path; it encodes nothing, so every attempt replays the same frames.
 The session offers the server the sequence's payload, and a server that
-reassembles exactly those bytes stores that one object in its inbox.
+reassembles exactly those bytes stores that one object in its inbox.  The
+first server whose joined chunks equal the payload records them on the
+sequence; a later server whose chunks equal that record, one by one, for
+the same offered object stores the payload without joining, since equal
+chunks join to equal bytes.
 The session and the server exchange raw frames: ``ObexServer.serve_push``
 takes the bytes of one frame and returns the bytes of its response.  The
 CONNECT and DISCONNECT frames are module constants; ``wire_frames``
@@ -46,9 +50,10 @@ well-formed continuation frame (PUT, one Body header) in the one
 memo that the ``PutSequence`` owns and every member's server shares, so
 each frame of a sequence is checked once per sequence, the first time any
 server receives it, and the memo goes when the sequence does.  The
-session reads the opcode of each reply from a table of the four encoded
-responses and parses any other reply in full, so a malformed one still
-raises.
+session reads a reply that is the module's own Continue frame by
+identity, the opcode of any other reply from a table of the four encoded
+responses, and parses a reply that is in neither in full, so a malformed
+one still raises.
 """
 
 from __future__ import annotations
@@ -298,9 +303,11 @@ def _sequence(name: str, payload: bytes,
     if not name:
         raise ValueError("file name must be non-empty")
     first_cap = first_frame_capacity(name, max_packet)
-    cont_cap = continuation_capacity(max_packet)
-    if first_cap < 0 or cont_cap < 1:
+    if first_cap < 0:
         raise ProtocolError("name too long for the packet size")
+    # first_cap >= 0 needs max_packet >= 14 + len(name), and the name is not
+    # empty, so every continuation frame holds at least 9 payload bytes.
+    cont_cap = continuation_capacity(max_packet)
     head = (Name(name), Length(len(payload)))
     if len(payload) <= first_cap:
         opening = ObexFrame(PUT_FINAL, head + (EndOfBody(payload),))
@@ -362,7 +369,8 @@ class PutSequence:
     ``ObexServer``).  ``payload`` is exactly ``bytes``, so no inbox shares a
     buffer that can change.  The sequence also holds the servers' parse of
     its frames, so each frame is checked once per sequence, by the first
-    server it reaches; the parse is not part of the sequence's value.
+    server it reaches, and the first reassembly a server joined and found
+    equal to ``payload``; neither is part of the sequence's value.
     """
 
     name: str
@@ -370,6 +378,8 @@ class PutSequence:
     frames: tuple[bytes, ...]
     _parsed: dict[bytes, _Parse] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    _checked: list[tuple[bytes, list[memoryview]]] = field(
+        default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.frames:
@@ -401,6 +411,7 @@ class PutSequence:
 _RESPONSES = {opcode: encode_frame(ObexFrame(opcode))
               for opcode in (CONTINUE, SUCCESS, BAD_REQUEST, FORBIDDEN)}
 _RESPONSE_OPCODES = {raw: opcode for opcode, raw in _RESPONSES.items()}
+_CONTINUE_FRAME = _RESPONSES[CONTINUE]
 _CONNECT_FRAME = encode_frame(ObexFrame(CONNECT, (), ConnectInfo()))
 _DISCONNECT_FRAME = encode_frame(ObexFrame(DISCONNECT))
 # opcode, declared length, then the first header's id and value length
@@ -416,21 +427,46 @@ class ObexServer:
 
     ``parsed`` maps the bytes of each frame served to its parse: a
     continuation frame's chunk, or any other frame's opcode and headers.
-    ``PushSession`` sets it to the ``PutSequence``'s own dict, so the
-    servers of every member share it for one sequence; a server built on
-    its own starts with an empty one.
+    ``checked`` holds at most one ``(offered, chunks)`` pair: the first
+    reassembly whose join equalled ``offered``.  ``PushSession`` sets both
+    to the ``PutSequence``'s own, so the servers of every member share
+    them for one sequence; a server built on its own starts with empty ones.
     """
 
     def __init__(self, device: RadioDevice) -> None:
         self.device = device
         self.offered: bytes | None = None
         self.parsed: dict[bytes, _Parse] = {}
+        self.checked: list[tuple[bytes, list[memoryview]]] = []
         self._name: str | None = None
         self._chunks: list[memoryview] = []
 
     def _reset(self) -> None:
         self._name = None
         self._chunks = []
+
+    def _reassembled(self, chunks: list[memoryview]) -> bytes:
+        """What ``chunks`` reassemble to: ``offered`` when they join to it,
+        else their join.
+
+        Chunks equal, one by one, to a reassembly recorded in ``checked``
+        for this same ``offered`` object join to equal bytes, so they are
+        not joined again.  The views a memo hands out are the same objects
+        for every server, so that compare is one identity test per chunk.
+        Any other chunks are joined and compared; the first such list whose
+        join equals an ``offered`` of type ``bytes`` is recorded, unless a
+        chunk is a view of a buffer that can change.
+        """
+        offered, checked = self.offered, self.checked
+        if checked and checked[0][0] is offered and chunks == checked[0][1]:
+            return offered
+        received = b"".join(chunks)
+        if received != offered:
+            return received
+        if not checked and type(offered) is bytes \
+                and {type(chunk.obj) for chunk in chunks} <= {bytes}:
+            checked.append((offered, chunks))
+        return offered  # frees the joined copy now
 
     def serve_push(self, raw: bytes) -> bytes:
         """Handle the bytes of one client frame; return the response's bytes.
@@ -513,10 +549,7 @@ class ObexServer:
         else:
             # EndOfBody is taken only after a Name and only in a final frame.
             if end_seen:
-                received = b"".join(chunks)
-                if received == self.offered:
-                    received = self.offered  # frees the joined copy now
-                device.inbox[name] = received
+                device.inbox[name] = self._reassembled(chunks)
                 self._reset()
                 return _RESPONSES[SUCCESS]
             if not final and name is not None:
@@ -565,20 +598,24 @@ class PushSession:
         """Send ``frames`` in order until a reply is not Continue; return
         (frames sent, the last reply's opcode).
 
-        The four responses the server sends are looked up; any other reply
-        is parsed, so a malformed one raises ``ProtocolError``.
+        A reply that is the module's own Continue frame is read by
+        identity.  Any other reply is looked up among the four encoded
+        responses, and parsed when it is not one, so a malformed one raises
+        ``ProtocolError``.
         """
         serve = self.server.serve_push
         sent = 0
         for raw in frames:
             resp = serve(raw)
             sent += 1
+            if resp is _CONTINUE_FRAME:
+                continue
             opcode = _RESPONSE_OPCODES.get(resp)
             if opcode is None:
                 opcode = _frame_prefix(resp, whole=True)[0]
             if opcode != CONTINUE:
-                break
-        return sent, opcode
+                return sent, opcode
+        return sent, CONTINUE
 
     def push_file(self, seq: PutSequence) -> TransferOutcome:
         """Send one encoded file and close the link; advances sim time by
@@ -593,6 +630,7 @@ class PushSession:
                 raise SimError("link is closed")
             self.server.offered = seq.payload
             self.server.parsed = seq._parsed
+            self.server.checked = seq._checked
             self._exchange((_CONNECT_FRAME,))
             outcome = self._put(seq)
             if outcome.delivered:
@@ -629,8 +667,8 @@ class PushSession:
             device.drop_transfers -= 1
             world.disconnect(self.link, reason="link-lost")
             lost = True
-        if not lost and world.loss_probability > 0 \
-                and world.rng.random() < world.loss_probability:
+        loss = world.loss_probability
+        if not lost and loss > 0 and world.rng.random() < loss:
             world.disconnect(self.link, reason="link-lost")
             lost = True
         if lost:

@@ -286,12 +286,10 @@ class SimWorld:
 
     def __init__(self, seed: int = 0, params: RadioParams | None = None,
                  loss_probability: float = 0.0) -> None:
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ValueError("loss_probability must be in [0, 1]")
+        self.loss_probability = loss_probability
         self.now: SimTime = 0
         self.rng = random.Random(seed)
         self.params = params or RadioParams()
-        self.loss_probability = loss_probability
         self.devices: dict[MacId, RadioDevice] = {}
         # Open links only, keyed (master, slave), in the order they opened.
         self.links: dict[tuple[MacId, MacId], LinkHandle] = {}
@@ -306,6 +304,18 @@ class SimWorld:
         self._sched_seq = 0
         # presence_windows(), cleared by add_device.
         self._windows: tuple[tuple[MacId, SimTime, float], ...] | None = None
+
+    @property
+    def loss_probability(self) -> float:
+        """The chance that a push which would otherwise go through is lost."""
+        return self._loss_probability
+
+    @loss_probability.setter
+    def loss_probability(self, value: float) -> None:
+        # NaN fails both comparisons, so it is refused too.
+        if not 0.0 <= value <= 1.0:
+            raise ValueError("loss_probability must be in [0, 1]")
+        self._loss_probability = value
 
     @property
     def log(self) -> EventLog:

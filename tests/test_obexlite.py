@@ -388,6 +388,28 @@ def test_name_too_long_for_packet():
         put_frames("x" * 100, b"", 64)
 
 
+@pytest.mark.parametrize("name", ["n", "name.bin"])
+def test_the_smallest_packet_for_a_name_is_14_bytes_more(name):
+    # Frame, Name, Length and Body prefixes: the opening frame then holds
+    # no payload, and each continuation frame 8 + len(name) bytes.
+    smallest = 14 + len(name)
+    payload = bytes(range(40))
+    frames = put_frames(name, payload, smallest)
+    assert first_frame_capacity(name, smallest) == 0
+    assert frames[0].headers[2] == Body(b"")
+    assert all(len(encode_frame(f)) <= smallest for f in frames)
+    assert len(frames) == 1 + -(-len(payload) // (8 + len(name)))
+    wired = list(wire_frames(name, payload, smallest))
+    assert wired == [encode_frame(f) for f in frames]
+    server = _server()
+    assert [decode_frame(server.serve_push(raw))[0].opcode
+            for raw in wired][-1] == SUCCESS
+    assert server.device.inbox == {name: payload}
+    for chunker in (put_frames, wire_frames):
+        with pytest.raises(ProtocolError, match="name too long"):
+            list(chunker(name, payload, smallest - 1))
+
+
 def test_non_ascii_name_capacity_is_a_protocol_error():
     with pytest.raises(ProtocolError, match="name is not ASCII"):
         first_frame_capacity("h\u00e9.txt", 1024)
@@ -625,8 +647,9 @@ def test_serve_push_answers_near_continuation_frames_like_the_reference(
     reference's response or exception, and leaves the same state behind.
     The server is offered nothing, the valid sequence's payload, or bytes
     that differ from it; its inbox still equals the reference's.  The
-    server starts with no parsed frames, or with a memo that another
-    server warmed with the valid sequence and the frame under test."""
+    server starts with no parsed frames, or with the memo and the recorded
+    reassembly of another server, offered the same object, that was sent
+    the valid sequence and then the frame under test inside one."""
     opening = encode_frame(ObexFrame(PUT, (Name("f.bin"), Length(3),
                                            Body(b"ab"))))
     final = encode_frame(ObexFrame(PUT_FINAL, (EndOfBody(b"z"),)))
@@ -640,9 +663,14 @@ def test_serve_push_answers_near_continuation_frames_like_the_reference(
             server.offered = offered
             if warm:
                 warmer = _server()
-                warmer.parsed = server.parsed
-                for frame in (opening, frames["valid"], raw, final):
+                warmer.offered = offered
+                warmer.parsed, warmer.checked = server.parsed, server.checked
+                for frame in (opening, frames["valid"], final,
+                              opening, raw, final):
                     _served(warmer.serve_push, frame)
+                # the valid sequence's join is recorded iff it is the offer
+                assert [rec for rec, _ in server.checked] \
+                    == ([offered] if offer == "equal" else [])
             reference = ReferenceServer(make_device(mac(1)))
             servers = [(server.serve_push, server.device),
                        (reference.serve, reference.device)]
@@ -759,6 +787,54 @@ def test_a_run_checks_each_frame_once_and_keeps_no_parse(monkeypatch):
     del sequences[:], memos[:], seq, memo
     gc.collect()
     assert chunk() is None
+
+
+def test_only_chunks_equal_to_the_recorded_reassembly_skip_the_join():
+    """A server stores the offer unjoined only when its chunks equal, one
+    by one, a reassembly recorded for that same offered object."""
+    payload = random.Random(13).randbytes(5000)
+    seq = PutSequence.encode("f.bin", payload)
+    twin = PutSequence.encode("f.bin", bytes(bytearray(payload)))
+    assert twin.payload is not seq.payload
+
+    def deliver(offered, frames, checked=seq._checked):
+        server = _server()
+        server.offered, server.parsed, server.checked = \
+            offered, seq._parsed, checked
+        codes = [decode_frame(server.serve_push(raw))[0].opcode
+                 for raw in frames]
+        assert codes[-1] == SUCCESS
+        return server.device.inbox["f.bin"]
+
+    assert deliver(payload, seq.frames) is payload
+    [(recorded, chunks)] = seq._checked
+    assert recorded is payload and len(chunks) == len(seq.frames)
+    # the memo's own views, so a later match is one identity test per chunk
+    assert all(chunk is seq._parsed[raw]
+               for chunk, raw in zip(chunks[1:-1], seq.frames[1:-1]))
+    # another sequence's frames of equal bytes, or writable copies of them
+    writable = [bytearray(raw) for raw in seq.frames]
+    assert deliver(payload, twin.frames) is payload
+    assert deliver(payload, writable) is payload
+    # an offer that is another object is joined and compared
+    assert deliver(twin.payload, seq.frames) is twin.payload
+    other = payload[:-1] + bytes([payload[-1] ^ 1])
+    kept = deliver(other, seq.frames)
+    assert kept == payload and kept is not other
+    # chunks that differ from the recorded ones are joined, not matched
+    writable[-1][-1] ^= 1
+    changed = deliver(payload, writable)
+    assert type(changed) is bytes and changed == other
+    [(same, still)] = seq._checked
+    assert same is recorded and still is chunks
+    # views of a buffer that can change, or an offer that can, are never
+    # recorded: a later change to either would go unseen
+    checked = []
+    assert deliver(payload, [bytearray(raw) for raw in seq.frames],
+                   checked) is payload
+    offer = bytearray(payload)
+    assert deliver(offer, twin.frames, checked) is offer
+    assert checked == []
 
 
 # -- shared inboxes -------------------------------------------------------------
@@ -1001,6 +1077,26 @@ def test_push_file_rejects_a_reply_with_a_trailing_byte():
         _push(session, "cpi.txt", bytes(10_000))
     assert session.server.puts == 1
     assert not link.open
+
+
+def test_a_continue_reply_that_is_another_object_still_reads_as_continue():
+    w, link = _linked_world()
+    session = PushSession(w, link)
+    cont = encode_frame(ObexFrame(CONTINUE))
+    copies = []
+
+    def reply(n, resp):
+        if resp == cont:
+            copies.append(bytes(bytearray(resp)))
+            return copies[-1]
+        return resp
+
+    session.server = _StubServer(session.server.device, reply)
+    outcome = _push(session, "cpi.txt", bytes(10_000))
+    assert outcome.delivered
+    assert outcome.frames_sent == session.server.puts == len(copies) + 1
+    assert all(copy == cont and copy is not cont for copy in copies)
+    assert w.device(mac(1)).inbox["cpi.txt"] == bytes(10_000)
 
 
 def _counted_push(session: PushSession, seq: PutSequence) -> tuple[int, int]:

@@ -288,6 +288,20 @@ def test_run_proactive_late_arrival_with_cutoff():
     assert w.device(late).inbox == {}
 
 
+def test_a_member_first_seen_at_the_late_cutoff_is_not_late():
+    # "late" is first seen after the cutoff: at it is still on time.
+    w, roster = _classroom(n_members=1)
+    run_proactive(w, roster, FILE, local=LOCAL)
+    seen = next(e.time for e in w.log if e.name == "device_discovered"
+                and dict(e.fields)["mac"] == mac(1))
+    assert 0 < seen < 240_000
+    for cutoff, outcome in ((seen, DELIVERED), (seen - 1, LATE)):
+        w, roster = _classroom(n_members=1, late_cutoff=cutoff)
+        report = run_proactive(w, roster, FILE, local=LOCAL)
+        assert report.outcomes[mac(1)].outcome == outcome, cutoff
+        assert (w.device(mac(1)).inbox == {}) == (outcome == LATE)
+
+
 def test_run_proactive_leaves_only_open_links():
     scenario = load_scenario(shipped_fixture_path("late_arrival"))
     w = scenario.build_world(0)

@@ -17,6 +17,7 @@ import tracemalloc
 import pytest
 
 from pidsim import pidctl, scenario
+from pidsim.obexlite import PushSession, PutSequence
 from pidsim.simnet import SimWorld
 
 from .conftest import LOCAL, make_world, mac
@@ -173,6 +174,28 @@ def test_inquiry_advances_grow_with_queued_events_not_answers(calls):
         assert rung["inquiry_advances"] <= \
             rung["inquiry_fired"] + rung["inquiries"], rung
         assert rung["inquiry_advances"] < rung["discovered"] // 4, rung
+
+
+def test_a_second_member_push_joins_no_copy_of_the_payload():
+    """The first member's server joins the chunks and records them as the
+    payload's checked reassembly; the next member's server matches its
+    chunks against that record, so its push peaks below one payload.
+    Joining per member instead peaks above one."""
+    payload = random.Random(3).randbytes(256 << 10)
+    seq = PutSequence.encode("big.bin", payload)
+    world = make_world(n_others=2, ftp=True)
+    first = PushSession(world, world.connect(LOCAL, mac(1))).push_file(seq)
+    assert first.delivered
+    session = PushSession(world, world.connect(LOCAL, mac(2)))
+    tracemalloc.start()
+    try:
+        second = session.push_file(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second.delivered
+    assert world.device(mac(2)).inbox["big.bin"] is payload
+    assert peak < len(payload), peak
 
 
 def _run_peak(members: int, payload: bytes) -> int:

@@ -70,6 +70,20 @@ def test_radio_params_must_be_positive():
         RadioParams(inquiry_duration=-1)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.0000001, 2.0, float("nan"),
+                                 float("inf"), -float("inf")])
+def test_loss_probability_outside_zero_to_one_is_refused(bad):
+    with pytest.raises(ValueError, match=r"loss_probability must be in \[0, 1\]"):
+        SimWorld(loss_probability=bad)
+    w = SimWorld(loss_probability=0.25)
+    with pytest.raises(ValueError, match=r"loss_probability must be in \[0, 1\]"):
+        w.loss_probability = bad
+    assert w.loss_probability == 0.25  # the old value stays
+    for edge in (0.0, 1.0, 0, 1):
+        w.loss_probability = edge
+        assert w.loss_probability == edge
+
+
 def test_device_presence_window():
     dev = make_device(mac(1), arrival=100, departure=200)
     assert not dev.present_at(99)
