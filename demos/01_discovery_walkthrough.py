@@ -67,8 +67,8 @@ def main():
           f"{[world.device(m).friendly_name for m in sorted(ftp)]}")
 
     print("\nEvent log so far:")
-    for event in world.log:
-        print(" ", event.line())
+    for line in world.render_log().splitlines():
+        print(" ", line)
 
 
 if __name__ == "__main__":

@@ -51,9 +51,8 @@ memo that the ``PutSequence`` owns and every member's server shares, so
 each frame of a sequence is checked once per sequence, the first time any
 server receives it, and the memo goes when the sequence does.  The
 session reads a reply that is the module's own Continue frame by
-identity, the opcode of any other reply from a table of the four encoded
-responses, and parses a reply that is in neither in full, so a malformed
-one still raises.
+identity and any other reply, ``bytes`` or ``bytearray``, by its frame
+prefix, so a malformed one still raises.
 """
 
 from __future__ import annotations
@@ -410,7 +409,6 @@ class PutSequence:
 
 _RESPONSES = {opcode: encode_frame(ObexFrame(opcode))
               for opcode in (CONTINUE, SUCCESS, BAD_REQUEST, FORBIDDEN)}
-_RESPONSE_OPCODES = {raw: opcode for opcode, raw in _RESPONSES.items()}
 _CONTINUE_FRAME = _RESPONSES[CONTINUE]
 _CONNECT_FRAME = encode_frame(ObexFrame(CONNECT, (), ConnectInfo()))
 _DISCONNECT_FRAME = encode_frame(ObexFrame(DISCONNECT))
@@ -599,9 +597,8 @@ class PushSession:
         (frames sent, the last reply's opcode).
 
         A reply that is the module's own Continue frame is read by
-        identity.  Any other reply is looked up among the four encoded
-        responses, and parsed when it is not one, so a malformed one raises
-        ``ProtocolError``.
+        identity.  Any other reply, of any buffer type, is read through the
+        frame prefix check, so a malformed one raises ``ProtocolError``.
         """
         serve = self.server.serve_push
         sent = 0
@@ -610,9 +607,7 @@ class PushSession:
             sent += 1
             if resp is _CONTINUE_FRAME:
                 continue
-            opcode = _RESPONSE_OPCODES.get(resp)
-            if opcode is None:
-                opcode = _frame_prefix(resp, whole=True)[0]
+            opcode = _frame_prefix(resp, whole=True)[0]
             if opcode != CONTINUE:
                 return sent, opcode
         return sent, CONTINUE

@@ -12,9 +12,10 @@ refuses a line the table does not declare, and appends the row's id to one
 list and ``t``, ``seq`` and the field values, in key order and not turned
 into text, to one flat list, so a line adds nothing the GC counts.
 ``render_log`` formats the lines in blocks of a few thousand, one ``%``
-over each block's joined templates and values, and ``world.log`` builds a
-``LogEvent`` only for the line asked for.  Deferring the rendering is safe
-only because every field value is an immutable ``str`` or ``int``.
+over each block's joined templates and values; it is the only code that
+turns a line into text.  ``world.log`` walks the lines in order and builds
+each ``LogEvent`` when the walk reaches it.  Deferring the rendering is
+safe only because every field value is an immutable ``str`` or ``int``.
 
 The event queue holds only the arrivals and departures ``add_device``
 queues and the actions callers ``schedule``.  An arrival or a departure is
@@ -38,10 +39,9 @@ import math
 import operator
 import random
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
-from typing import TYPE_CHECKING, Callable
+from itertools import compress
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import (
     OutOfRangeError,
@@ -212,11 +212,6 @@ class LogEvent:
     name: str
     fields: tuple[tuple[str, str], ...]
 
-    def line(self) -> str:
-        parts = [f"t={self.time}", f"seq={self.seq}", f"ev={self.name}"]
-        parts.extend(f"{k}={v}" for k, v in self.fields)
-        return " ".join(parts)
-
 
 @dataclass
 class LinkHandle:
@@ -226,59 +221,35 @@ class LinkHandle:
     closed_reason: str | None = None
 
 
-class EventLog(Sequence):
-    """Read-only view of a world's event log, one ``LogEvent`` per line.
+class EventLog:
+    """Read-only view of a world's event log, walked in order.
 
     The lines are held in the world's flat storage: an ``EVENTS`` row id per
-    line and one list of every line's ``t, seq, values...``.  Where each
-    line starts in that list is summed from its row's key count the first
-    time a line is asked for, and kept.  ``len`` builds no event; indexing,
-    slicing and iteration build each ``LogEvent`` as it is reached, so a
-    ``LogEvent`` is a fresh object on every access.  A view equals a list
-    of the same events.
+    line and one list of every line's ``t, seq, values...``.  ``len`` builds
+    no event.  A walk goes through both lists once, finds where the next
+    line starts by adding the row's width from ``_WIDTHS``, and builds each
+    line's ``LogEvent`` only when it reaches the line, so every walk builds
+    fresh ones.
     """
 
-    __slots__ = ("_ids", "_values", "_starts")
+    __slots__ = ("_ids", "_values")
 
     def __init__(self, ids: list[int], values: list[object]) -> None:
         self._ids = ids
         self._values = values
-        self._starts = [0]  # where lines 0, 1, ... start in ``values``
 
     def __len__(self) -> int:
         return len(self._ids)
 
-    def _event(self, seq: int) -> LogEvent:
-        starts = self._starts
-        if len(starts) <= seq + 1:  # lines logged since the last sum
-            begin = starts.pop()
-            starts.extend(accumulate(
-                map(_WIDTHS.__getitem__, self._ids[len(starts):]),
-                initial=begin))
-        name, keys = EVENTS[self._ids[seq]]
-        at = starts[seq]
+    def __iter__(self) -> Iterator[LogEvent]:
         values = self._values
-        rendered = map(str, values[at + 2:starts[seq + 1]])
-        return LogEvent(values[at], seq, name, tuple(zip(keys, rendered)))
-
-    def __getitem__(self, index):
-        n = len(self._ids)
-        if isinstance(index, slice):
-            return [self._event(seq) for seq in range(*index.indices(n))]
-        seq = operator.index(index)
-        if seq < 0:
-            seq += n
-        if not 0 <= seq < n:
-            raise IndexError("log index out of range")
-        return self._event(seq)
-
-    def __iter__(self):
-        return map(self._event, range(len(self._ids)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (EventLog, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        at = 0
+        for seq, row in enumerate(self._ids):
+            name, keys = EVENTS[row]
+            end = at + _WIDTHS[row]
+            yield LogEvent(values[at], seq, name,
+                           tuple(zip(keys, map(str, values[at + 2:end]))))
+            at = end
 
 
 class SimWorld:
@@ -319,7 +290,8 @@ class SimWorld:
 
     @property
     def log(self) -> EventLog:
-        """Every event emitted so far, as a read-only sequence of ``LogEvent``."""
+        """Every event emitted so far, as a ``LogEvent`` per line in order,
+        each built as a walk reaches it."""
         return self._log
 
     # -- device registry -------------------------------------------------

@@ -3,7 +3,7 @@
 Cross-checks ``SimWorld``'s flat log storage (a shape id per line and one
 flat list of values).  ``emit`` keeps each call's time, event name and
 fields dict as passed, and ``render_log`` and ``event`` are the
-dict-per-line ``SimWorld.render_log`` and ``EventLog._event`` the flat
+dict-per-line ``SimWorld.render_log`` and log-view line builder the flat
 storage replaced, with their bodies unchanged; ``_render`` and
 ``_template`` are copied too, so no helper is shared with the code under
 test.

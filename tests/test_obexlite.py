@@ -1079,6 +1079,42 @@ def test_push_file_rejects_a_reply_with_a_trailing_byte():
     assert not link.open
 
 
+def _bytearray_replies(session, change):
+    """Make every reply of ``session``'s server, CONNECT and DISCONNECT
+    included, come back as ``change(bytearray(reply))``; return the list
+    the replies are kept in."""
+    serve, replies = session.server.serve_push, []
+
+    def serve_push(raw):
+        replies.append(change(bytearray(serve(raw))))
+        return replies[-1]
+
+    session.server.serve_push = serve_push
+    return replies
+
+
+def test_a_bytearray_reply_is_read_like_its_bytes():
+    w, link = _linked_world()
+    session = PushSession(w, link)
+    replies = _bytearray_replies(session, lambda resp: resp)
+    outcome = _push(session, "cpi.txt", bytes(10_000))
+    assert outcome.delivered
+    assert len(replies) == outcome.frames_sent + 2  # CONNECT, DISCONNECT
+    assert all(type(resp) is bytearray for resp in replies)
+    assert w.device(mac(1)).inbox["cpi.txt"] == bytes(10_000)
+    assert not link.open
+
+    w, link = _linked_world()
+    session = PushSession(w, link)
+    replies = _bytearray_replies(session, lambda resp: resp + b"\x00")
+    with pytest.raises(ProtocolError,
+                       match="^length-mismatch: declared 3 bytes, have 4$"):
+        _push(session, "cpi.txt", bytes(10_000))
+    assert len(replies) == 1  # the CONNECT reply
+    assert w.device(mac(1)).inbox == {}
+    assert not link.open
+
+
 def test_a_continue_reply_that_is_another_object_still_reads_as_continue():
     w, link = _linked_world()
     session = PushSession(w, link)

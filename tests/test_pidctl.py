@@ -318,7 +318,7 @@ def test_run_proactive_params_must_be_the_worlds():
     other = dataclasses.replace(w.params, range_m=w.params.range_m + 1)
     with pytest.raises(ValueError, match="world.params"):
         run_proactive(w, roster, FILE, params=other, local=LOCAL)
-    assert w.log == [] and w.now == 0
+    assert list(w.log) == [] and w.now == 0
 
     same = dataclasses.replace(w.params)  # equal values, another object
     report = run_proactive(w, roster, FILE, params=same, local=LOCAL)
@@ -431,7 +431,7 @@ def test_run_proactive_checks_its_arguments_before_encoding(monkeypatch):
                       local=LOCAL)
     with pytest.raises(UnknownDeviceError):
         run_proactive(w, roster, FILE, local=mac(99))
-    assert encoded == [] and w.log == [] and w.now == 0
+    assert encoded == [] and list(w.log) == [] and w.now == 0
 
 
 def test_run_proactive_random_loss_injection():

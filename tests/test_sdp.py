@@ -96,8 +96,8 @@ def test_search_services_departed_mid_search():
     assert mac(1) in catalog.services
     assert catalog.departed == [mac(2)]
     assert mac(2) not in catalog.services
-    assert w.log[-1].line() == (f"t=4000 seq=3 ev=service_search_completed "
-                                f"mac={mac(2)} status=departed")
+    assert w.render_log().splitlines()[-1] == (
+        f"t=4000 seq=3 ev=service_search_completed mac={mac(2)} status=departed")
 
 
 def test_failed_search_leaves_nothing_queued():
@@ -107,7 +107,7 @@ def test_failed_search_leaves_nothing_queued():
     assert w.now == 0
     assert w._queue == []
     w.advance(10 * w.params.service_search_per_device)
-    assert w.log == []
+    assert list(w.log) == []
 
 
 def test_catalog_records_mac_matches_device_mac():

@@ -118,7 +118,7 @@ def test_a_device_departed_before_now_is_refused_without_a_trace():
 
 def test_advance_empty_queue_is_noop(world):
     assert world.advance(1000) is None
-    assert world.log == []
+    assert list(world.log) == []
     assert world.now == 1000
 
 
@@ -157,8 +157,9 @@ def test_log_times_non_decreasing_and_seq_strict():
 def test_log_line_format():
     w = make_world()
     w.emit("services_discovered", mac="x", count=2)
-    assert w.log[-1].line() == "t=0 seq=0 ev=services_discovered count=2 mac=x"
-    assert w.render_log().endswith("\n")
+    assert w.render_log() == "t=0 seq=0 ev=services_discovered count=2 mac=x\n"
+    assert list(w.log) == [simnet.LogEvent(
+        0, 0, "services_discovered", (("count", "2"), ("mac", "x")))]
 
 
 def _counting(monkeypatch, name, original):
@@ -189,13 +190,15 @@ def test_render_log_renders_each_field_once(monkeypatch):
     w = make_world(n_others=6, seed=3)
     start_inquiry(w, LOCAL)
     w.emit("transfer_failed", reason="x=y", mac=LOCAL, file="a %s")
-    expected = "".join(e.line() + "\n" for e in w.log)
+    expected = "".join(
+        f"t={e.time} seq={e.seq} ev={e.name}"
+        + "".join(f" {k}={v}" for k, v in e.fields) + "\n" for e in w.log)
     renders = _counting(monkeypatch, "str", str)
     assert w.render_log() == expected
     assert renders == []
-    assert w.log[-1].line() == (
-        f"t=16000 seq={len(w.log) - 1} ev=transfer_failed file=a %s "
-        f"mac={LOCAL} reason=x=y")
+    assert expected.endswith(
+        f"\nt=16000 seq={len(w.log) - 1} ev=transfer_failed file=a %s "
+        f"mac={LOCAL} reason=x=y\n")
 
 
 def test_events_table_is_sorted_plain_and_one_row_per_lookup():
@@ -222,7 +225,7 @@ def test_emit_refuses_an_undeclared_line_and_logs_nothing(name, fields):
         w.emit(name, **fields)
     assert len(w.log) == n and w.render_log() == text
     w.emit("device_departed", mac=LOCAL)  # the log goes on unharmed
-    assert w.log[-1].seq == n and w.render_log().startswith(text)
+    assert list(w.log)[-1].seq == n and w.render_log().startswith(text)
 
 
 def _declared_line_patterns() -> list[re.Pattern]:
@@ -289,8 +292,8 @@ def test_flat_log_matches_the_dict_per_line_reference(emits, data):
         w.advance(w.now + step)
         w.emit(name, **dict(pairs))
         ref.emit(w.now, name, **dict(pairs))
-        # Asked for as the log grows, so line offsets are found in steps.
-        assert w.log[-1] == ref.event(len(ref) - 1)
+        # Walked as the log grows, so each walk starts over a longer log.
+        assert list(w.log) == ref.events()
     assert w.render_log() == ref.render_log()
     # Blocks end between lines of any widths.
     default = simnet._RENDER_BLOCK
@@ -301,10 +304,6 @@ def test_flat_log_matches_the_dict_per_line_reference(emits, data):
         simnet._RENDER_BLOCK = default
     expected = ref.events()
     assert list(w.log) == expected and len(w.log) == len(expected)
-    for k in range(1, len(expected) + 1):
-        assert w.log[-k] == expected[-k]
-    cut = data.draw(st.slices(len(expected)))
-    assert w.log[cut] == expected[cut]
 
 
 def _gc_count_growth(emits: int) -> int:
@@ -366,22 +365,19 @@ def test_log_view_builds_events_only_when_asked(monkeypatch):
     n = len(w.log)
     built = _counting(monkeypatch, "LogEvent", simnet.LogEvent)
     assert len(w.log) == n and built == []
-    assert w.log[-1] == w.log[n - 1] and len(built) == 2
-    assert w.log[-1] is not w.log[-1]
-    assert [e.seq for e in w.log[1:3]] == [1, 2] and len(built) == 6
-    assert next(iter(w.log)).seq == 0 and len(built) == 7
-    assert w.log != [] and list(w.log) == w.log[:] == w.log
-    assert w.log[0].seq == 0
-    with pytest.raises(IndexError, match="^log index out of range$"):
-        w.log[n]
-    with pytest.raises(IndexError, match="^log index out of range$"):
-        w.log[-n - 1]
+    walk = iter(w.log)
+    assert built == []
+    assert next(walk).seq == 0 and len(built) == 1
+    assert next(walk).seq == 1 and len(built) == 2
+    first, second = list(w.log), list(w.log)
+    assert len(built) == 2 + 2 * n
+    assert [e.seq for e in first] == list(range(n))
+    assert first == second and all(a is not b for a, b in zip(first, second))
 
 
-def test_empty_log_equals_an_empty_list():
+def test_empty_log_walks_no_line():
     w = make_world()
-    assert w.log == [] and [] == w.log and len(w.log) == 0
-    assert w.log != () and list(w.log) == []
+    assert len(w.log) == 0 and list(w.log) == []
 
 
 def test_classroom_run_adds_no_gc_tracked_object_per_log_line():
@@ -432,7 +428,7 @@ def test_in_range_boundary():
 def test_inquiry_discovers_all_five():
     w = make_world(n_others=5, seed=8)
     found = start_inquiry(w, LOCAL)
-    assert w.log[-1].name == "inquiry_completed"
+    assert list(w.log)[-1].name == "inquiry_completed"
     assert sorted(m for m, _ in found) == [mac(i) for i in range(1, 6)]
     completed = [e for e in w.log if e.name == "inquiry_completed"]
     assert len(completed) == 1
@@ -443,7 +439,7 @@ def test_inquiry_empty_world():
     w = make_world(n_others=0)
     assert start_inquiry(w, LOCAL) == []
     assert w.now == w.params.inquiry_duration
-    assert w.log[-1].name == "inquiry_completed"
+    assert list(w.log)[-1].name == "inquiry_completed"
 
 
 def test_inquiry_skips_powered_off():
@@ -608,7 +604,7 @@ def _discoveries_to_window_end(w):
     end = w.now + w.params.inquiry_duration
     start_inquiry(w, LOCAL)
     w.advance(end)
-    assert w.log[-1].name == "inquiry_completed"
+    assert list(w.log)[-1].name == "inquiry_completed"
     return [(dict(e.fields)["mac"], e.time) for e in w.log
             if e.name == "device_discovered"]
 
